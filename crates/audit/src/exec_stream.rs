@@ -2,7 +2,7 @@
 //!
 //! Both engines can record every allocation, free, clock charge, plan
 //! change and recovery action as one append-only event stream
-//! (`run_block_iteration_recorded` / `run_dtr_iteration_recorded` in
+//! (`BlockIteration::run_recorded` / `DtrIteration::run_recorded` in
 //! `mimose-exec`). This pass is the single entry point for auditing such a
 //! stream: it projects the allocator-level events down to the arena
 //! [`TraceEvent`](mimose_simgpu::TraceEvent) log and replays them through

@@ -16,7 +16,7 @@ use mimose_exec::BlockIteration;
 use mimose_models::{BlockProfile, ModelInput, ModelProfile};
 use mimose_planner::memory_model::peak_bytes;
 use mimose_planner::{CheckmatePolicy, CheckpointPlan, MonetPolicy};
-use mimose_runtime::{EventLog, NullRecorder, Recorder, RingRecorder};
+use mimose_runtime::{EventLog, NullRecorder, Recorder};
 use mimose_simgpu::{AllocPolicy, Arena, DeviceProfile};
 use mimose_verify::{certify, plan_hash, SizeBucket};
 use std::hint::black_box;
@@ -488,12 +488,13 @@ fn scaled_profile(p: &ModelProfile, num: usize, den: usize) -> ModelProfile {
 }
 
 /// Recorded-iteration suite: one block-engine iteration (TC-Bert, seq 200,
-/// alternating plan) driven through [`BlockIteration::run_into`] with each
-/// recorder, plus the isolated per-event record cost on the captured
-/// stream. The simulated engine does only ~100 ns of bookkeeping per
-/// event, so even `EventLog`'s raw push shows up at ~10 %; CI bounds the
-/// ring at 1.5× null (see the recorder-overhead step in ci.yml), and the
-/// `runtime_record_cost` group carries the exact per-event numbers.
+/// alternating plan) driven through [`BlockIteration::run_into`] with the
+/// null recorder and with an [`EventLog`], plus the isolated per-event
+/// record cost on the captured stream. The simulated engine does only
+/// ~100 ns of bookkeeping per event, so even `EventLog`'s raw push shows
+/// up at ~5–10 %; CI bounds `event_log` at 1.5× null (see the
+/// recorder-overhead step in ci.yml), and the `runtime_record_cost` group
+/// carries the exact per-event number.
 ///
 /// # Panics
 /// Panics only if the fixture plan indices fall out of range for the
@@ -532,18 +533,6 @@ pub fn runtime_suite(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function_with("ring", meta, |b| {
-        let mut ring = RingRecorder::for_blocks(n);
-        b.iter(|| {
-            ring.clear();
-            black_box(
-                BlockIteration::plan(&p, &plan)
-                    .device(&dev)
-                    .capacity(cap)
-                    .run_into(&mut ring),
-            )
-        })
-    });
     g.finish();
 
     // Pure record cost, isolated from the engine: replay the captured
@@ -569,16 +558,6 @@ pub fn runtime_suite(c: &mut Criterion) {
                 log.record(black_box(ev));
             }
             black_box(log.events.len())
-        })
-    });
-    g.bench_function_with("ring", ops, |b| {
-        let mut ring = RingRecorder::for_blocks(n);
-        b.iter(|| {
-            ring.clear();
-            for ev in &stream {
-                ring.record(black_box(ev));
-            }
-            black_box(ring.len_bytes())
         })
     });
     g.finish();

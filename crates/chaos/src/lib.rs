@@ -537,7 +537,7 @@ impl FleetFaultPlan {
 pub struct IterationFaults {
     /// Multiply the arena capacity by this before building the iteration's
     /// arena (1.0 = nominal). Applied by whoever sizes the arena — the
-    /// trainer — never by the engine itself, so it cannot be applied twice.
+    /// session step — never by the engine itself, so it cannot be applied twice.
     pub capacity_factor: f64,
     /// Alloc-attempt ordinals (1-based within the iteration's arena) that
     /// fail spuriously, sorted ascending. Feed to

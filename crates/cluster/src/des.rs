@@ -126,9 +126,9 @@ struct Running<'a> {
 }
 
 /// A checkpointed job waiting out its backoff window (virtual ns).
-struct Displaced {
+struct Displaced<'a> {
     job: usize,
-    checkpoint: SessionCheckpoint,
+    checkpoint: SessionCheckpoint<'a>,
     remaining: usize,
     ready_ns: u64,
     from_device: usize,

@@ -263,9 +263,9 @@ struct Running<'a> {
 }
 
 /// A checkpointed job waiting out its backoff window for re-admission.
-struct Displaced {
+struct Displaced<'a> {
     job: usize,
-    checkpoint: SessionCheckpoint,
+    checkpoint: SessionCheckpoint<'a>,
     remaining: usize,
     ready_round: usize,
     from_device: usize,

@@ -25,10 +25,10 @@ use mimose_models::{BlockProfile, ModelProfile};
 use mimose_planner::memory_model::FinePlan;
 use mimose_planner::{BlockAction, BlockObservation, CheckpointPlan, HybridPlan};
 use mimose_runtime::{
-    policy_alloc, AllocSite, EngineCore, ExecEvent, IterationReport, LiveBlock, NullRecorder,
-    Recorder, ReportMeta, RingRecorder, Tee,
+    policy_alloc, AllocSite, EngineCore, ExecEvent, IterationReport, LiveBlock, Recorder,
+    ReportMeta, Tee,
 };
-use mimose_simgpu::{Arena, ArenaStats, DeviceProfile, TraceEvent};
+use mimose_simgpu::{Arena, DeviceProfile};
 
 /// How to run the iteration.
 #[derive(Debug, Clone)]
@@ -57,8 +57,8 @@ pub struct BlockRun {
     pub demoted_plan: Option<CheckpointPlan>,
 }
 
-/// Per-attempt knobs threaded through the engine (crate-internal; the
-/// public wrappers fill in the defaults).
+/// Per-attempt knobs threaded through the engine (the recovery driver
+/// varies them from one attempt to the next).
 pub(crate) struct EngineOpts<'a> {
     /// 0-based attempt number stamped on recovery events.
     pub attempt: usize,
@@ -68,96 +68,6 @@ pub(crate) struct EngineOpts<'a> {
     pub recovery: Option<&'a RecoveryConfig>,
     /// Faults to inject into this attempt; `None` = clean run.
     pub faults: Option<&'a IterationFaults>,
-}
-
-impl Default for EngineOpts<'static> {
-    fn default() -> Self {
-        EngineOpts {
-            attempt: 0,
-            shrink: 1.0,
-            recovery: None,
-            faults: None,
-        }
-    }
-}
-
-/// Run one iteration at block granularity.
-///
-/// `capacity` is the arena size (the budget for budget-enforcing policies,
-/// or the device size for the baseline); `planning_ns` is the policy's plan
-/// generation time to charge to the clock.
-#[must_use]
-pub fn run_block_iteration(
-    profile: &ModelProfile,
-    mode: BlockMode<'_>,
-    capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    planning_ns: u64,
-) -> BlockRun {
-    let mut rec = NullRecorder;
-    run_block_iteration_impl(
-        profile,
-        mode,
-        capacity,
-        dev,
-        iter,
-        planning_ns,
-        &EngineOpts::default(),
-        &mut rec,
-    )
-    .0
-}
-
-/// Like [`run_block_iteration`], but recording the full [`ExecEvent`]
-/// stream: additionally returns the stream and the arena's final
-/// statistics, ready for `mimose_audit::audit_exec_events`.
-#[must_use]
-pub fn run_block_iteration_recorded(
-    profile: &ModelProfile,
-    mode: BlockMode<'_>,
-    capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    planning_ns: u64,
-) -> (BlockRun, Vec<ExecEvent>, ArenaStats) {
-    // The default recorded path runs on the packed ring, not a
-    // `Vec<ExecEvent>`: events append as a handful of bytes each and the
-    // full stream materializes once, at the end, via `take_decoded` — the
-    // byte-identity differential suite pins that the decode is lossless.
-    let mut ring = RingRecorder::for_blocks(profile.blocks.len()).growable();
-    let (run, arena) = run_block_iteration_impl(
-        profile,
-        mode,
-        capacity,
-        dev,
-        iter,
-        planning_ns,
-        &EngineOpts::default(),
-        &mut ring,
-    );
-    debug_assert_eq!(ring.dropped_events(), 0);
-    (run, ring.take_decoded(), arena.stats())
-}
-
-/// Like [`run_block_iteration`], but projecting the recorded stream down to
-/// the allocator-level [`TraceEvent`] log, ready for
-/// `mimose_audit::audit_trace`.
-pub fn run_block_iteration_traced(
-    profile: &ModelProfile,
-    mode: BlockMode<'_>,
-    capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    planning_ns: u64,
-) -> (BlockRun, Vec<TraceEvent>, ArenaStats) {
-    let (run, events, stats) =
-        run_block_iteration_recorded(profile, mode, capacity, dev, iter, planning_ns);
-    let trace = events
-        .iter()
-        .filter_map(ExecEvent::to_trace_event)
-        .collect();
-    (run, trace, stats)
 }
 
 /// Whether block `i` runs checkpointed, consulting the demotion-mutable
@@ -251,8 +161,14 @@ fn close(
     )
 }
 
+/// Run one attempt of one iteration at block granularity, narrating it to
+/// `rec`.
+///
+/// `capacity` is the arena size (the budget for budget-enforcing policies,
+/// or the device size for the baseline); `planning_ns` is the policy's plan
+/// generation time to charge to the clock.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_block_iteration_impl(
+pub(crate) fn run_attempt(
     profile: &ModelProfile,
     mode: BlockMode<'_>,
     capacity: usize,

@@ -10,94 +10,25 @@
 
 use crate::eviction::DtrEvictionPolicy;
 use crate::shadow::DtrShadow;
-use mimose_models::ModelProfile;
+use crate::DtrIteration;
 use mimose_runtime::{
-    policy_alloc, AllocSite, EngineCore, ExecEvent, IterationReport, NullRecorder, OomReport,
-    Recorder, ReportMeta, RingRecorder, Tee,
+    policy_alloc, AllocSite, EngineCore, EventLog, ExecEvent, IterationReport, NullRecorder,
+    OomReport, Recorder, ReportMeta, Tee,
 };
-use mimose_simgpu::{AllocPolicy, ArenaStats, DeviceProfile};
+use mimose_simgpu::ArenaStats;
 
-/// Run one DTR iteration with the default first-fit allocator.
-#[must_use]
-pub fn run_dtr_iteration(
-    profile: &ModelProfile,
-    budget: usize,
-    device_capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-) -> IterationReport {
-    run_dtr_iteration_with_policy(
-        profile,
-        budget,
-        device_capacity,
-        dev,
-        iter,
-        AllocPolicy::FirstFit,
-    )
-}
-
-/// Run one DTR iteration under an explicit allocator fit policy (the
-/// `ablation_allocator` experiment compares fragmentation across policies).
-#[must_use]
-pub fn run_dtr_iteration_with_policy(
-    profile: &ModelProfile,
-    budget: usize,
-    device_capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    alloc_policy: AllocPolicy,
-) -> IterationReport {
-    let mut rec = NullRecorder;
-    run_dtr_impl(
-        profile,
-        budget,
-        device_capacity,
-        dev,
-        iter,
-        alloc_policy,
-        &mut rec,
-    )
-    .0
-}
-
-/// Like [`run_dtr_iteration`], but recording the full [`ExecEvent`] stream:
-/// additionally returns the stream and the arena's final statistics, ready
-/// for `mimose_audit::audit_exec_events`.
-#[must_use]
-pub fn run_dtr_iteration_recorded(
-    profile: &ModelProfile,
-    budget: usize,
-    device_capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-) -> (IterationReport, Vec<ExecEvent>, ArenaStats) {
-    // DTR's eviction/recompute churn emits far more events per block than
-    // the timeline engine, so size the ring with DTR-scale headroom (the
-    // byte-identity suite would catch any eviction-induced truncation).
-    let mut ring =
-        RingRecorder::new(64 * 1024 + profile.blocks.len().saturating_mul(8 * 1024)).growable();
-    let (report, stats) = run_dtr_impl(
-        profile,
-        budget,
-        device_capacity,
-        dev,
-        iter,
-        AllocPolicy::FirstFit,
-        &mut ring,
-    );
-    debug_assert_eq!(ring.dropped_events(), 0);
-    (report, ring.take_decoded(), stats)
-}
-
-fn run_dtr_impl(
-    profile: &ModelProfile,
-    budget: usize,
-    device_capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    alloc_policy: AllocPolicy,
-    rec: &mut dyn Recorder,
+/// Run one DTR iteration as configured by `it`, recording it into `log`
+/// when given; returns the report and the arena's final statistics.
+pub(crate) fn run(
+    it: &DtrIteration<'_>,
+    log: Option<&mut EventLog>,
 ) -> (IterationReport, ArenaStats) {
+    let (profile, budget, dev, iter) = (it.profile, it.budget, &it.device, it.iter);
+    let mut null = NullRecorder;
+    let rec: &mut dyn Recorder = match log {
+        Some(log) => log,
+        None => &mut null,
+    };
     // Shadow checking (debug builds / MIMOSE_SHADOW_CHECK=1): a recorder
     // teed into the stream that cross-validates the arena-side live count
     // against the slot table at every boundary carrying a `live_hint`.
@@ -112,7 +43,7 @@ fn run_dtr_impl(
         None => rec,
     };
 
-    let mut core = EngineCore::with_policy(device_capacity, alloc_policy, dev, rec);
+    let mut core = EngineCore::with_policy(it.device_capacity, it.alloc_policy, dev, rec);
     let mut pol = DtrEvictionPolicy::new(budget);
 
     let close = |core: EngineCore<'_>,

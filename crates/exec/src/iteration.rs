@@ -1,21 +1,16 @@
-//! Builder facades over the engine entry points, for callers that drive a
-//! *single* iteration with explicit knobs (experiments sweeping capacities,
-//! fixtures, benches) rather than a whole run: [`BlockIteration`] for the
-//! block engine and [`DtrIteration`] for the tensor engine.
-//!
-//! The old free functions (`run_block_iteration*`, `run_dtr_iteration*`)
-//! remain as `#[doc(hidden)]` wrappers; these builders call the same
-//! implementations, so results are byte-identical.
+//! The single-iteration API, for callers that drive *one* iteration with
+//! explicit knobs (experiments sweeping capacities, fixtures, benches)
+//! rather than a whole run: [`BlockIteration`] for the block engine and
+//! [`DtrIteration`] for the tensor engine. A [`Session`](crate::Session)
+//! step builds the same values, so a session iteration and a hand-built
+//! one run the same code.
 
-use crate::block_engine::{run_block_iteration, run_block_iteration_recorded, BlockMode, BlockRun};
-use crate::dtr_engine::{run_dtr_iteration_recorded, run_dtr_iteration_with_policy};
-use crate::recovery::{
-    run_block_iteration_recovering, run_block_iteration_recovering_recorded, RecoveryConfig,
-};
+use crate::block_engine::{run_attempt, BlockMode, BlockRun, EngineOpts};
+use crate::recovery::{drive, RecoveryConfig};
 use mimose_chaos::IterationFaults;
 use mimose_models::ModelProfile;
 use mimose_planner::{CheckpointPlan, HybridPlan};
-use mimose_runtime::{ExecEvent, IterationReport, Recorder};
+use mimose_runtime::{EventLog, ExecEvent, IterationReport, Recorder};
 use mimose_simgpu::{AllocPolicy, ArenaStats, DeviceProfile, TraceEvent};
 
 /// One block-engine iteration, configured fluently. Construct with
@@ -25,14 +20,14 @@ use mimose_simgpu::{AllocPolicy, ArenaStats, DeviceProfile, TraceEvent};
 /// [`run_recorded`](BlockIteration::run_recorded) or
 /// [`run_traced`](BlockIteration::run_traced).
 pub struct BlockIteration<'a> {
-    profile: &'a ModelProfile,
-    mode: BlockMode<'a>,
-    capacity: usize,
-    device: DeviceProfile,
-    iter: usize,
-    planning_ns: u64,
-    recovery: Option<&'a RecoveryConfig>,
-    faults: Option<&'a IterationFaults>,
+    pub(crate) profile: &'a ModelProfile,
+    pub(crate) mode: BlockMode<'a>,
+    pub(crate) capacity: usize,
+    pub(crate) device: DeviceProfile,
+    pub(crate) iter: usize,
+    pub(crate) planning_ns: u64,
+    pub(crate) recovery: Option<&'a RecoveryConfig>,
+    pub(crate) faults: Option<&'a IterationFaults>,
 }
 
 impl<'a> BlockIteration<'a> {
@@ -130,32 +125,13 @@ impl<'a> BlockIteration<'a> {
     /// Execute.
     #[must_use]
     pub fn run(self) -> BlockRun {
-        if self.recovery.is_none() && self.faults.is_none() {
-            return run_block_iteration(
-                self.profile,
-                self.mode,
-                self.capacity,
-                &self.device,
-                self.iter,
-                self.planning_ns,
-            );
-        }
-        run_block_iteration_recovering(
-            self.profile,
-            self.mode,
-            self.capacity,
-            &self.device,
-            self.iter,
-            self.planning_ns,
-            self.recovery,
-            self.faults,
-        )
+        drive(&self, None).0
     }
 
     /// Execute, emitting the event stream into a caller-supplied
-    /// [`Recorder`] — the zero-churn seam: a caller that holds a
-    /// [`RingRecorder`](mimose_runtime::RingRecorder) across iterations
-    /// records every iteration without a single per-iteration allocation.
+    /// [`Recorder`] — the zero-churn seam: a caller that holds one
+    /// [`EventLog`] across iterations (clearing it in between) records
+    /// every iteration without a per-iteration allocation.
     ///
     /// Single-attempt only: the restart rungs of the recovery ladder need
     /// attempt-scoped streams, so a configured `recovery` ladder here
@@ -164,14 +140,14 @@ impl<'a> BlockIteration<'a> {
     /// ladder-driven recording.
     #[must_use]
     pub fn run_into(self, rec: &mut dyn Recorder) -> BlockRun {
-        crate::block_engine::run_block_iteration_impl(
+        run_attempt(
             self.profile,
             self.mode,
             self.capacity,
             &self.device,
             self.iter,
             self.planning_ns,
-            &crate::block_engine::EngineOpts {
+            &EngineOpts {
                 attempt: 0,
                 shrink: 1.0,
                 recovery: self.recovery,
@@ -186,26 +162,9 @@ impl<'a> BlockIteration<'a> {
     /// only when the recovery ladder restarted).
     #[must_use]
     pub fn run_recorded(self) -> (BlockRun, Vec<ExecEvent>, ArenaStats) {
-        if self.recovery.is_none() && self.faults.is_none() {
-            return run_block_iteration_recorded(
-                self.profile,
-                self.mode,
-                self.capacity,
-                &self.device,
-                self.iter,
-                self.planning_ns,
-            );
-        }
-        run_block_iteration_recovering_recorded(
-            self.profile,
-            self.mode,
-            self.capacity,
-            &self.device,
-            self.iter,
-            self.planning_ns,
-            self.recovery,
-            self.faults,
-        )
+        let mut log = EventLog::new();
+        let (run, stats) = drive(&self, Some(&mut log));
+        (run, log.events, stats)
     }
 
     /// Execute, projecting the recorded stream down to allocator-level
@@ -222,12 +181,12 @@ impl<'a> BlockIteration<'a> {
 
 /// One tensor-engine (DTR) iteration, configured fluently.
 pub struct DtrIteration<'a> {
-    profile: &'a ModelProfile,
-    budget: usize,
-    device_capacity: usize,
-    device: DeviceProfile,
-    iter: usize,
-    alloc_policy: AllocPolicy,
+    pub(crate) profile: &'a ModelProfile,
+    pub(crate) budget: usize,
+    pub(crate) device_capacity: usize,
+    pub(crate) device: DeviceProfile,
+    pub(crate) iter: usize,
+    pub(crate) alloc_policy: AllocPolicy,
 }
 
 impl<'a> DtrIteration<'a> {
@@ -279,35 +238,21 @@ impl<'a> DtrIteration<'a> {
     /// Execute.
     #[must_use]
     pub fn run(self) -> IterationReport {
-        run_dtr_iteration_with_policy(
-            self.profile,
-            self.budget,
-            self.device_capacity,
-            &self.device,
-            self.iter,
-            self.alloc_policy,
-        )
+        crate::dtr_engine::run(&self, None).0
     }
 
-    /// Execute, recording the full [`ExecEvent`] stream. (First-fit only:
-    /// the recorded entry point does not take an allocator policy.)
+    /// Execute, recording the full [`ExecEvent`] stream.
     #[must_use]
     pub fn run_recorded(self) -> (IterationReport, Vec<ExecEvent>, ArenaStats) {
-        run_dtr_iteration_recorded(
-            self.profile,
-            self.budget,
-            self.device_capacity,
-            &self.device,
-            self.iter,
-        )
+        let mut log = EventLog::new();
+        let (report, stats) = crate::dtr_engine::run(&self, Some(&mut log));
+        (report, log.events, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_engine::run_block_iteration_traced;
-    use crate::dtr_engine::run_dtr_iteration;
     use mimose_models::builders::{bert_base, BertHead};
     use mimose_models::ModelInput;
 
@@ -318,50 +263,76 @@ mod tests {
     }
 
     #[test]
-    fn block_builder_matches_free_function() {
+    fn traced_run_projects_the_recorded_stream() {
         let p = profile(128);
         let n = p.blocks.len();
         let plan = CheckpointPlan::from_indices(n, &[0, 2, 4]).unwrap();
-        let dev = DeviceProfile::v100();
-        let (legacy, legacy_trace, legacy_stats) =
-            run_block_iteration_traced(&p, BlockMode::Plan(&plan), 8 << 30, &dev, 2, 10);
-        let (built, built_trace, built_stats) = BlockIteration::plan(&p, &plan)
-            .capacity(8 << 30)
-            .iter(2)
-            .planning_ns(10)
-            .run_traced();
-        assert_eq!(legacy_trace, built_trace);
-        assert_eq!(legacy_stats.peak_used, built_stats.peak_used);
+        let it = || {
+            BlockIteration::plan(&p, &plan)
+                .capacity(8 << 30)
+                .iter(2)
+                .planning_ns(10)
+        };
+        let (recorded, events, recorded_stats) = it().run_recorded();
+        let (traced, trace, traced_stats) = it().run_traced();
+        let projected: Vec<TraceEvent> = events
+            .iter()
+            .filter_map(ExecEvent::to_trace_event)
+            .collect();
+        assert_eq!(projected, trace);
+        assert_eq!(recorded_stats.peak_used, traced_stats.peak_used);
         assert_eq!(
-            format!("{:?}", legacy.report),
-            format!("{:?}", built.report)
+            format!("{:?}", recorded.report),
+            format!("{:?}", traced.report)
+        );
+        assert_eq!(
+            format!("{:?}", it().run().report),
+            format!("{:?}", traced.report)
         );
     }
 
     #[test]
-    fn dtr_builder_matches_free_function() {
+    fn dtr_builder_defaults_to_the_whole_v100() {
         let p = profile(96);
         let dev = DeviceProfile::v100();
-        let legacy = run_dtr_iteration(&p, 4 << 30, dev.total_mem_bytes, &dev, 1);
+        let explicit = DtrIteration::new(&p, 4 << 30)
+            .device(&dev)
+            .capacity(dev.total_mem_bytes)
+            .alloc_policy(AllocPolicy::FirstFit)
+            .iter(1)
+            .run();
         let built = DtrIteration::new(&p, 4 << 30).iter(1).run();
-        assert_eq!(format!("{legacy:?}"), format!("{built:?}"));
+        assert_eq!(format!("{explicit:?}"), format!("{built:?}"));
     }
 
     #[test]
-    fn run_into_a_ring_matches_the_recorded_stream() {
+    fn dtr_recorded_run_honours_the_alloc_policy() {
+        let p = profile(96);
+        for policy in [AllocPolicy::FirstFit, AllocPolicy::BestFit] {
+            let it = || DtrIteration::new(&p, 4 << 30).alloc_policy(policy);
+            let (recorded, _, _) = it().run_recorded();
+            assert_eq!(
+                format!("{recorded:?}"),
+                format!("{:?}", it().run()),
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_into_an_event_log_matches_the_recorded_stream() {
         let p = profile(128);
         let n = p.blocks.len();
         let plan = CheckpointPlan::from_indices(n, &[0, 2, 4]).unwrap();
         let (_, events, _) = BlockIteration::plan(&p, &plan)
             .capacity(8 << 30)
             .run_recorded();
-        let mut ring = mimose_runtime::RingRecorder::for_blocks(n);
+        let mut log = EventLog::new();
         let run = BlockIteration::plan(&p, &plan)
             .capacity(8 << 30)
-            .run_into(&mut ring);
+            .run_into(&mut log);
         assert!(run.report.ok());
-        assert_eq!(ring.dropped_events(), 0);
-        assert_eq!(ring.decode(), events);
+        assert_eq!(log.events, events);
     }
 
     #[test]

@@ -3,55 +3,36 @@
 //! The training-iteration executor: a block-granularity engine that runs
 //! checkpoint plans (and Mimose's double-forward shuttle iterations) against
 //! the simulated arena allocator and virtual clock, a tensor-granularity
-//! engine with DTR-style reactive eviction, and two front ends that drive
+//! engine with DTR-style reactive eviction, and one front door that drives
 //! any [`mimose_planner::MemoryPolicy`] over a dataset stream:
-//!
-//! - [`Session`] — the builder-style entry point (`Session::builder(..)
-//!   .policy(..).build()?.run(n)`); owns its policy and stream, steppable
-//!   and `Send`, which is what the cluster scheduler consumes.
-//! - [`Trainer`] — the borrowing front end the experiment harness drives.
+//! [`Session`] (`Session::builder(..).policy(..).build()?.run(n)`). A
+//! session owns or borrows its policy, owns its stream, is steppable and
+//! `Send`, which is what the cluster scheduler consumes.
 //!
 //! Single iterations with explicit knobs go through [`BlockIteration`] and
-//! [`DtrIteration`]. Both engines are thin
-//! [`mimose_runtime::MaterializationPolicy`] layers over the shared
-//! [`mimose_runtime::EngineCore`]; every run can be recorded as a typed
-//! [`mimose_runtime::ExecEvent`] stream that the report, the shadow
-//! checkers and the audit layer all consume.
+//! [`DtrIteration`]; a session step builds the same values. Both engines
+//! are thin [`mimose_runtime::MaterializationPolicy`] layers over the
+//! shared [`mimose_runtime::EngineCore`]; every run can be recorded as a
+//! typed [`mimose_runtime::ExecEvent`] stream into an
+//! [`mimose_runtime::EventLog`] that the report, the shadow checkers and
+//! the audit layer all consume.
 
 #![warn(missing_docs)]
 
 mod block_engine;
 mod dtr_engine;
+mod error;
 mod eviction;
 mod iteration;
 mod recovery;
 mod rungs;
 mod session;
 pub mod shadow;
-mod trainer;
 
+pub use block_engine::{BlockMode, BlockRun};
+pub use error::ExecError;
 pub use iteration::{BlockIteration, DtrIteration};
 pub use mimose_runtime::{IterationReport, OomReport, RunSummary, TimeBreakdown};
 pub use recovery::{grow_plan, RecoveryConfig};
-pub use session::{Session, SessionBuilder, SessionCheckpoint};
+pub use session::{IterationRecord, Session, SessionBuilder, SessionCheckpoint};
 pub use shadow::{shadow_check_enabled, DtrShadow, ShadowChecker};
-pub use trainer::{ExecError, IterationRecord, Trainer};
-
-pub use block_engine::{BlockMode, BlockRun};
-
-// Legacy free-function entry points, kept as thin wrappers for existing
-// callers; new code goes through `Session`, `BlockIteration` and
-// `DtrIteration` (which share their implementations).
-#[doc(hidden)]
-pub use block_engine::{
-    run_block_iteration, run_block_iteration_recorded, run_block_iteration_traced,
-};
-#[doc(hidden)]
-pub use dtr_engine::{
-    run_dtr_iteration, run_dtr_iteration_recorded, run_dtr_iteration_with_policy,
-};
-#[doc(hidden)]
-pub use recovery::{
-    run_block_iteration_recovering, run_block_iteration_recovering_recorded,
-    run_block_iteration_recovering_traced,
-};

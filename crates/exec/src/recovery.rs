@@ -25,13 +25,13 @@
 //! later as ordinary recompute, so its event carries `time_cost_ns: 0` —
 //! never double-counted).
 
-use crate::block_engine::{run_block_iteration_impl, BlockMode, BlockRun, EngineOpts};
-use mimose_chaos::IterationFaults;
+use crate::block_engine::{run_attempt, BlockMode, BlockRun, EngineOpts};
+use crate::BlockIteration;
 use mimose_models::ModelProfile;
 use mimose_planner::memory_model::peak_bytes;
 use mimose_planner::{CheckpointPlan, RecoveryEvent, RecoveryRung};
-use mimose_runtime::{ExecEvent, NullRecorder, Recorder, RingRecorder};
-use mimose_simgpu::{ArenaStats, DeviceProfile, TraceEvent};
+use mimose_runtime::{EventLog, NullRecorder, Recorder};
+use mimose_simgpu::ArenaStats;
 
 /// Tunables for the OOM-recovery ladder. The default configuration enables
 /// every rung with conservative bounds; disable individual rungs to study
@@ -113,115 +113,34 @@ struct DriverState {
     did_fallback: bool,
 }
 
-/// Run one iteration under the full recovery ladder.
+/// Run one iteration under the full recovery ladder, recording the final
+/// attempt into `log` when one is given.
 ///
-/// With `recovery: None` and `faults: None` this is byte-identical to
-/// [`run_block_iteration`](crate::run_block_iteration) — one attempt, no
-/// hooks. Restart and fallback only apply to [`BlockMode::Plan`] (the other
-/// modes have no block plan to grow): `Fine`/`Hybrid` escalate straight to
-/// the fallback plan, and `Shuttle` *is* the full-checkpoint configuration
-/// already, so its fallback would be itself and a fatal shuttle iteration
-/// stays fatal.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_block_iteration_recovering(
-    profile: &ModelProfile,
-    mode: BlockMode<'_>,
-    capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    planning_ns: u64,
-    recovery: Option<&RecoveryConfig>,
-    faults: Option<&IterationFaults>,
-) -> BlockRun {
-    drive(
-        profile,
-        mode,
-        capacity,
-        dev,
-        iter,
-        planning_ns,
-        recovery,
-        faults,
-        false,
-    )
-    .0
-}
-
-/// Recorded variant of [`run_block_iteration_recovering`]. The returned
-/// event stream and arena statistics cover the **final attempt only** —
-/// aborted attempts ran in arenas that were torn down with them; their cost
-/// survives in the report's `recovery_ns` and the accumulated
+/// With neither a recovery config nor faults this is exactly one plain
+/// engine attempt. Restart and fallback only apply to [`BlockMode::Plan`]
+/// (the other modes have no block plan to grow): `Fine`/`Hybrid` escalate
+/// straight to the fallback plan, and `Shuttle` *is* the full-checkpoint
+/// configuration already, so its fallback would be itself and a fatal
+/// shuttle iteration stays fatal.
+///
+/// The recorded stream and the returned arena statistics cover the **final attempt
+/// only** — aborted attempts ran in arenas that were torn down with them;
+/// their cost survives in the report's `recovery_ns` and the accumulated
 /// [`RecoveryEvent`]s.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_block_iteration_recovering_recorded(
-    profile: &ModelProfile,
-    mode: BlockMode<'_>,
-    capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    planning_ns: u64,
-    recovery: Option<&RecoveryConfig>,
-    faults: Option<&IterationFaults>,
-) -> (BlockRun, Vec<ExecEvent>, ArenaStats) {
-    let (run, events, stats) = drive(
+pub(crate) fn drive(
+    it: &BlockIteration<'_>,
+    mut log: Option<&mut EventLog>,
+) -> (BlockRun, ArenaStats) {
+    let BlockIteration {
         profile,
-        mode,
+        ref mode,
         capacity,
-        dev,
+        ref device,
         iter,
         planning_ns,
         recovery,
         faults,
-        true,
-    );
-    (run, events.unwrap_or_default(), stats.unwrap_or_default())
-}
-
-/// Traced variant of [`run_block_iteration_recovering`]: the recorded
-/// stream projected down to allocator-level [`TraceEvent`]s (final attempt
-/// only, like [`run_block_iteration_recovering_recorded`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_block_iteration_recovering_traced(
-    profile: &ModelProfile,
-    mode: BlockMode<'_>,
-    capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    planning_ns: u64,
-    recovery: Option<&RecoveryConfig>,
-    faults: Option<&IterationFaults>,
-) -> (BlockRun, Vec<TraceEvent>, ArenaStats) {
-    let (run, events, stats) = run_block_iteration_recovering_recorded(
-        profile,
-        mode,
-        capacity,
-        dev,
-        iter,
-        planning_ns,
-        recovery,
-        faults,
-    );
-    let trace = events
-        .iter()
-        .filter_map(ExecEvent::to_trace_event)
-        .collect();
-    (run, trace, stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    profile: &ModelProfile,
-    mode: BlockMode<'_>,
-    capacity: usize,
-    dev: &DeviceProfile,
-    iter: usize,
-    planning_ns: u64,
-    recovery: Option<&RecoveryConfig>,
-    faults: Option<&IterationFaults>,
-    record: bool,
-) -> (BlockRun, Option<Vec<ExecEvent>>, Option<ArenaStats>) {
+    } = *it;
     let n = profile.blocks.len();
     let mut st = DriverState {
         restarts: 0,
@@ -232,10 +151,6 @@ fn drive(
         did_fallback: false,
     };
     let mut attempt = 0usize;
-    // One packed ring serves every attempt (when recording): `clear()`
-    // keeps the buffer allocation, so ladder restarts record for free and
-    // the returned stream covers the final attempt only.
-    let mut ring = RingRecorder::for_blocks(n).growable();
     let mut null = NullRecorder;
     loop {
         let attempt_mode = match &st.restart_plan {
@@ -251,13 +166,20 @@ fn drive(
         // Planning time is a per-iteration cost, charged once; the aborted
         // attempts' own elapsed time is charged via recovery_ns instead.
         let attempt_planning = if attempt == 0 { planning_ns } else { 0 };
-        ring.clear();
-        let rec: &mut dyn Recorder = if record { &mut ring } else { &mut null };
-        let (mut run, arena) = run_block_iteration_impl(
+        // One log serves every attempt: clearing it keeps the allocation
+        // and leaves the returned stream covering the final attempt only.
+        let rec: &mut dyn Recorder = match log.as_deref_mut() {
+            Some(log) => {
+                log.events.clear();
+                log
+            }
+            None => &mut null,
+        };
+        let (mut run, arena) = run_attempt(
             profile,
             attempt_mode,
             capacity,
-            dev,
+            device,
             iter,
             attempt_planning,
             &opts,
@@ -277,13 +199,7 @@ fn drive(
                     run.report.recovery = all;
                 }
                 run.report.time.recovery_ns += st.wasted_ns;
-                let (ev, stats) = if record {
-                    debug_assert_eq!(ring.dropped_events(), 0);
-                    (Some(ring.take_decoded()), Some(arena.stats()))
-                } else {
-                    (None, None)
-                };
-                return (run, ev, stats);
+                return (run, arena.stats());
             }
         };
 
@@ -373,23 +289,17 @@ fn drive(
         // remedies tried, with aborted attempts' time on the clock.
         run.report.recovery = std::mem::take(&mut st.events);
         run.report.time.recovery_ns += st.wasted_ns;
-        let (ev, stats) = if record {
-            debug_assert_eq!(ring.dropped_events(), 0);
-            (Some(ring.take_decoded()), Some(arena.stats()))
-        } else {
-            (None, None)
-        };
-        return (run, ev, stats);
+        return (run, arena.stats());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_engine::run_block_iteration_traced;
     use mimose_chaos::{FaultInjector, FaultSpec};
     use mimose_models::builders::{bert_base, BertHead};
     use mimose_models::ModelInput;
+    use mimose_simgpu::DeviceProfile;
 
     fn profile(seq: usize) -> ModelProfile {
         bert_base(BertHead::Classification { labels: 2 })
@@ -420,7 +330,6 @@ mod tests {
     fn ladder_rescues_undersized_plan_via_restart() {
         let p = profile(256);
         let n = p.blocks.len();
-        let dev = DeviceProfile::v100();
         // A capacity the no-checkpoint plan cannot fit, but full-checkpoint
         // can: without the ladder this is a fatal OOM.
         let min_peak = peak_bytes(&p, &CheckpointPlan::all(n));
@@ -428,29 +337,14 @@ mod tests {
         let capacity = (min_peak + (max_peak - min_peak) / 4).next_multiple_of(512);
         let plan = CheckpointPlan::none(n);
 
-        let bare = run_block_iteration_recovering(
-            &p,
-            BlockMode::Plan(&plan),
-            capacity,
-            &dev,
-            0,
-            0,
-            None,
-            None,
-        );
+        let bare = BlockIteration::plan(&p, &plan).capacity(capacity).run();
         assert!(!bare.report.ok(), "without the ladder this must die");
 
         let cfg = RecoveryConfig::default();
-        let run = run_block_iteration_recovering(
-            &p,
-            BlockMode::Plan(&plan),
-            capacity,
-            &dev,
-            0,
-            0,
-            Some(&cfg),
-            None,
-        );
+        let run = BlockIteration::plan(&p, &plan)
+            .capacity(capacity)
+            .recovery(&cfg)
+            .run();
         assert!(run.report.ok(), "ladder must rescue: {:?}", run.report.oom);
         assert!(!run.report.recovery.is_empty());
         assert!(
@@ -467,7 +361,6 @@ mod tests {
     fn fallback_is_terminal_and_ordered() {
         let p = profile(256);
         let n = p.blocks.len();
-        let dev = DeviceProfile::v100();
         let min_peak = peak_bytes(&p, &CheckpointPlan::all(n));
         // Slightly above the absolute floor: only full-checkpoint fits.
         let capacity = (min_peak + (min_peak / 50)).next_multiple_of(512);
@@ -478,16 +371,10 @@ mod tests {
             max_restarts: 0,
             ..RecoveryConfig::default()
         };
-        let run = run_block_iteration_recovering(
-            &p,
-            BlockMode::Plan(&plan),
-            capacity,
-            &dev,
-            0,
-            0,
-            Some(&cfg),
-            None,
-        );
+        let run = BlockIteration::plan(&p, &plan)
+            .capacity(capacity)
+            .recovery(&cfg)
+            .run();
         assert!(run.report.ok(), "fallback must fit: {:?}", run.report.oom);
         let rungs: Vec<_> = run.report.recovery.iter().map(|e| e.rung).collect();
         assert!(rungs.contains(&RecoveryRung::Fallback));
@@ -504,21 +391,14 @@ mod tests {
     fn impossible_workload_fails_terminally_with_full_chain() {
         let p = profile(256);
         let n = p.blocks.len();
-        let dev = DeviceProfile::v100();
         let min_peak = peak_bytes(&p, &CheckpointPlan::all(n));
         // Below even the full-checkpoint floor: nothing can save this.
         let capacity = (min_peak / 2).next_multiple_of(512);
         let plan = CheckpointPlan::none(n);
-        let full = run_block_iteration_recovering(
-            &p,
-            BlockMode::Plan(&plan),
-            capacity,
-            &dev,
-            0,
-            0,
-            Some(&RecoveryConfig::default()),
-            None,
-        );
+        let full = BlockIteration::plan(&p, &plan)
+            .capacity(capacity)
+            .recovery(&RecoveryConfig::default())
+            .run();
         assert!(!full.report.ok(), "must stay fatal below the floor");
         // The chain shows the ladder *was* climbed before giving up. (No
         // recovery_ns assertion: the attempts die at the first allocation,
@@ -538,16 +418,10 @@ mod tests {
             max_restarts: 0,
             ..RecoveryConfig::default()
         };
-        let run = run_block_iteration_recovering(
-            &p,
-            BlockMode::Plan(&plan),
-            capacity,
-            &dev,
-            0,
-            0,
-            Some(&cfg),
-            None,
-        );
+        let run = BlockIteration::plan(&p, &plan)
+            .capacity(capacity)
+            .recovery(&cfg)
+            .run();
         assert!(!run.report.ok());
         let rungs: Vec<_> = run.report.recovery.iter().map(|e| e.rung).collect();
         assert_eq!(rungs, vec![RecoveryRung::Fallback]);
@@ -557,7 +431,6 @@ mod tests {
     fn injected_failures_absorbed_by_compact_rung() {
         let p = profile(128);
         let n = p.blocks.len();
-        let dev = DeviceProfile::v100();
         let spec = FaultSpec {
             seed: 7,
             alloc_failure_rate: 1.0,
@@ -570,16 +443,11 @@ mod tests {
         assert!(!faults.fail_allocs.is_empty());
         let cfg = RecoveryConfig::default();
         let plan = CheckpointPlan::from_indices(n, &[0, 1, 2]).unwrap();
-        let run = run_block_iteration_recovering(
-            &p,
-            BlockMode::Plan(&plan),
-            64 << 30,
-            &dev,
-            0,
-            0,
-            Some(&cfg),
-            Some(&faults),
-        );
+        let run = BlockIteration::plan(&p, &plan)
+            .capacity(64 << 30)
+            .recovery(&cfg)
+            .faults(&faults)
+            .run();
         assert!(run.report.ok(), "spurious failures must be absorbed");
         assert!(run
             .report
@@ -601,19 +469,16 @@ mod tests {
         let n = p.blocks.len();
         let dev = DeviceProfile::v100();
         let plan = CheckpointPlan::from_indices(n, &[1, 3, 5, 7]).unwrap();
-        let (plain, plain_trace, plain_stats) =
-            run_block_iteration_traced(&p, BlockMode::Plan(&plan), 64 << 30, &dev, 3, 42);
+        let it = || {
+            BlockIteration::plan(&p, &plan)
+                .device(&dev)
+                .capacity(64 << 30)
+                .iter(3)
+                .planning_ns(42)
+        };
+        let (plain, plain_trace, plain_stats) = it().run_traced();
         let cfg = RecoveryConfig::default();
-        let (rec, rec_trace, rec_stats) = run_block_iteration_recovering_traced(
-            &p,
-            BlockMode::Plan(&plan),
-            64 << 30,
-            &dev,
-            3,
-            42,
-            Some(&cfg),
-            None,
-        );
+        let (rec, rec_trace, rec_stats) = it().recovery(&cfg).run_traced();
         assert!(plain.report.ok() && rec.report.ok());
         assert_eq!(plain_trace, rec_trace, "traces must be byte-identical");
         assert_eq!(plain_stats.allocs, rec_stats.allocs);

@@ -22,21 +22,44 @@
 //! assert_eq!(session.summary().iters, 5);
 //! ```
 //!
-//! Unlike the borrowing [`Trainer`](crate::Trainer), a session *owns* its
-//! policy and its batch stream, so it can be parked, resumed one iteration
-//! at a time ([`Session::step`]) and moved across threads — exactly what
-//! the cluster scheduler needs to interleave many jobs over a device pool.
-//! Both front ends drive the same internal execution path, so a session run
-//! is byte-identical to the equivalent trainer run.
+//! A session owns its batch stream and either owns its policy or borrows
+//! it (`.policy(&mut policy)` leaves the policy's own state, e.g.
+//! `MimosePolicy::stats()`, readable after the run). It can be parked,
+//! resumed one iteration at a time ([`Session::step`]) and moved across
+//! threads — exactly what the cluster scheduler needs to interleave many
+//! jobs over a device pool.
+//!
+//! Each step profiles the batch, consults the policy, validates the plan's
+//! shape, and hands the iteration to one engine: a [`BlockIteration`] run
+//! through the recovery driver, or a [`DtrIteration`] for the reactive
+//! tensor engine. Recording (`.record(true)`) tees the same run into an
+//! [`EventLog`] and changes nothing else.
 
-use crate::recovery::RecoveryConfig;
-use crate::trainer::{run_one_iteration, ExecError, IterationCtx, IterationRecord};
+use crate::block_engine::BlockMode;
+use crate::recovery::{drive, RecoveryConfig};
+use crate::{BlockIteration, DtrIteration, ExecError};
 use mimose_chaos::FaultInjector;
 use mimose_data::{BatchStream, Dataset};
 use mimose_models::{ModelInput, ModelProfile, OptimizedGraph};
-use mimose_planner::MemoryPolicy;
-use mimose_runtime::{IterationReport, RunSummary};
-use mimose_simgpu::DeviceProfile;
+use mimose_planner::{Directive, IterationObservation, MemoryPolicy};
+use mimose_runtime::{EventLog, ExecEvent, IterationReport, RunSummary};
+use mimose_simgpu::{ArenaStats, DeviceProfile};
+
+/// One iteration's recorded execution: the [`ExecEvent`] stream, the arena
+/// capacity it ran in (needed to fold it — capacity varies per iteration
+/// under chaos shrink) and the final arena statistics. Produced by
+/// [`Session`]s built with `.record(true)`.
+#[derive(Debug)]
+pub struct IterationRecord {
+    /// Iteration number.
+    pub iter: usize,
+    /// Arena capacity the iteration executed in.
+    pub capacity: usize,
+    /// The recorded stream (final attempt only when the ladder restarted).
+    pub events: Vec<ExecEvent>,
+    /// Final arena statistics.
+    pub arena: ArenaStats,
+}
 
 /// A parked session, detached from its device: everything needed to
 /// resume the job at the last completed iteration boundary on *another*
@@ -49,15 +72,15 @@ use mimose_simgpu::DeviceProfile;
 /// forwards a fresh stream by `cursor` draws and lands on byte-identical
 /// batches, so a migrated run replays exactly as the uninterrupted run
 /// would have.
-pub struct SessionCheckpoint {
-    policy: Box<dyn MemoryPolicy>,
+pub struct SessionCheckpoint<'a> {
+    policy: Box<dyn MemoryPolicy + 'a>,
     seed: u64,
     cursor: usize,
     summary: RunSummary,
     records: Vec<IterationRecord>,
 }
 
-impl SessionCheckpoint {
+impl<'a> SessionCheckpoint<'a> {
     /// The iteration the resumed session will run next.
     #[must_use]
     pub fn cursor(&self) -> usize {
@@ -97,7 +120,7 @@ impl SessionCheckpoint {
     /// box — for a job that will never run again (e.g. one a degraded
     /// fleet sheds after displacement).
     #[must_use]
-    pub fn into_evidence(self) -> (RunSummary, Vec<IterationRecord>, Box<dyn MemoryPolicy>) {
+    pub fn into_evidence(self) -> (RunSummary, Vec<IterationRecord>, Box<dyn MemoryPolicy + 'a>) {
         (self.summary, self.records, self.policy)
     }
 
@@ -126,7 +149,7 @@ impl SessionCheckpoint {
 pub struct SessionBuilder<'a> {
     model: &'a OptimizedGraph,
     dataset: &'a Dataset,
-    policy: Option<Box<dyn MemoryPolicy>>,
+    policy: Option<Box<dyn MemoryPolicy + 'a>>,
     device: DeviceProfile,
     seed: u64,
     recovery: Option<RecoveryConfig>,
@@ -136,8 +159,9 @@ pub struct SessionBuilder<'a> {
 }
 
 impl<'a> SessionBuilder<'a> {
-    /// The memory policy to drive (required).
-    pub fn policy(mut self, policy: impl MemoryPolicy + 'static) -> Self {
+    /// The memory policy to drive (required). Pass `&mut policy` to keep
+    /// the policy and read its state after the session is dropped.
+    pub fn policy(mut self, policy: impl MemoryPolicy + 'a) -> Self {
         self.policy = Some(Box::new(policy));
         self
     }
@@ -145,7 +169,7 @@ impl<'a> SessionBuilder<'a> {
     /// Boxed form of [`Self::policy`], for policies chosen at runtime
     /// (e.g. via [`mimose_planner::PolicyKind::build`]).
     #[must_use]
-    pub fn policy_boxed(mut self, policy: Box<dyn MemoryPolicy>) -> Self {
+    pub fn policy_boxed(mut self, policy: Box<dyn MemoryPolicy + 'a>) -> Self {
         self.policy = Some(policy);
         self
     }
@@ -194,7 +218,7 @@ impl<'a> SessionBuilder<'a> {
     /// knobs — a migrated job resumes on a *different* device with that
     /// device's fault stream.
     #[must_use]
-    pub fn resume(mut self, checkpoint: SessionCheckpoint) -> Self {
+    pub fn resume(mut self, checkpoint: SessionCheckpoint<'a>) -> Self {
         self.policy = Some(checkpoint.policy);
         self.seed = checkpoint.seed;
         self.resume = Some((checkpoint.cursor, checkpoint.summary, checkpoint.records));
@@ -245,7 +269,7 @@ impl<'a> SessionBuilder<'a> {
 pub struct Session<'a> {
     model: &'a OptimizedGraph,
     dataset: &'a Dataset,
-    policy: Box<dyn MemoryPolicy>,
+    policy: Box<dyn MemoryPolicy + 'a>,
     device: DeviceProfile,
     seed: u64,
     recovery: Option<RecoveryConfig>,
@@ -340,7 +364,7 @@ impl<'a> Session<'a> {
     /// from (on any device). Any peeked-but-unrun batch is discarded; the
     /// resumed stream re-draws it byte-identically from the cursor.
     #[must_use]
-    pub fn checkpoint(self) -> SessionCheckpoint {
+    pub fn checkpoint(self) -> SessionCheckpoint<'a> {
         SessionCheckpoint {
             policy: self.policy,
             seed: self.seed,
@@ -394,21 +418,134 @@ impl<'a> Session<'a> {
             Some(i) => i,
             None => self.stream.next_batch(),
         };
-        let iter = self.next_iter;
-        let mut ctx = IterationCtx {
-            model: self.model,
-            policy: &mut *self.policy,
-            device: &self.device,
-            recovery: self.recovery.as_ref(),
-            injector: self.injector.as_ref(),
-        };
-        let (report, record) = run_one_iteration(&mut ctx, iter, &input, self.record)?;
+        let (report, record) = self.execute(self.next_iter, &input, self.record)?;
         if let Some(rec) = record {
             self.records.push(rec);
         }
         self.summary.absorb(&report);
         self.next_iter += 1;
         Ok(report)
+    }
+
+    /// Run one iteration numbered `iter` for an explicit input, without
+    /// drawing from the stream (the memory-curve experiments sweep input
+    /// sizes deterministically this way). The policy sees the iteration;
+    /// the session's cursor, summary and recorded streams do not.
+    pub fn run_input(
+        &mut self,
+        iter: usize,
+        input: &ModelInput,
+    ) -> Result<IterationReport, ExecError> {
+        self.execute(iter, input, false).map(|(report, _)| report)
+    }
+
+    /// Run one full iteration — profile, policy consult, plan-shape
+    /// validation, engine run, policy feedback — returning the report and,
+    /// when `record` is set, the iteration's event stream.
+    fn execute(
+        &mut self,
+        iter: usize,
+        input: &ModelInput,
+        record: bool,
+    ) -> Result<(IterationReport, Option<IterationRecord>), ExecError> {
+        let profile = self
+            .model
+            .profile(input)
+            .map_err(|source| ExecError::Profile { iter, source })?;
+        let directive = self.policy.begin_iteration(iter, &profile);
+        let mode = match &directive {
+            Directive::RunPlan(p) => Some(BlockMode::Plan(p)),
+            Directive::RunFine(fine) => Some(BlockMode::Fine(fine)),
+            Directive::RunHybrid(h) => Some(BlockMode::Hybrid(h)),
+            Directive::Shuttle(_) => Some(BlockMode::Shuttle),
+            Directive::DtrDynamic => None,
+        };
+        // Reject malformed plans up front with a typed error rather than
+        // letting the engine index out of bounds mid-iteration.
+        let expected = profile.blocks.len();
+        let shape = match &mode {
+            Some(BlockMode::Plan(p)) => Some(("checkpoint", p.len())),
+            Some(BlockMode::Fine(fine)) => Some(("fine", fine.len())),
+            Some(BlockMode::Hybrid(h)) => Some(("hybrid", h.len())),
+            Some(BlockMode::Shuttle) | None => None,
+        };
+        if let Some((kind, got)) = shape.filter(|&(_, got)| got != expected) {
+            return Err(ExecError::PlanShape {
+                iter,
+                kind,
+                expected,
+                got,
+            });
+        }
+        let planning_ns = self.policy.last_plan_overhead_ns();
+        let budget = self.policy.budget_bytes();
+        // Per-iteration fault vector (identity when no injector is set).
+        let faults = self.injector.as_ref().map(|inj| inj.iteration_faults(iter));
+        // The budget is a *target*, not a hard allocator cap: real PyTorch
+        // grabs more device memory when a plan under-provisions (that is how
+        // the paper's static planners "exceed the memory budget" on OD
+        // tasks, §VI-B). Plans therefore execute inside the whole device and
+        // violations surface as peak > budget in the reports; hard OOM
+        // happens only at physical-device exhaustion. The unconstrained
+        // baseline (budget usize::MAX) is the Fig 10 normalisation
+        // reference and gets an arena large enough never to fail.
+        let nominal = if budget == usize::MAX {
+            4 * self.device.total_mem_bytes
+        } else {
+            self.device.total_mem_bytes
+        };
+        // Chaos capacity shrink is applied here — once — so the engines and
+        // the recovery driver never double-apply it.
+        let capacity = match &faults {
+            Some(f) if f.capacity_factor != 1.0 => (nominal as f64 * f.capacity_factor) as usize,
+            _ => nominal,
+        };
+        let mut log = record.then(EventLog::new);
+        // The arena size each engine actually executes in — what a fold of
+        // the recorded stream must use.
+        let (report, observations, arena_capacity, stats) = match mode {
+            Some(mode) => {
+                let it = BlockIteration {
+                    profile: &profile,
+                    mode,
+                    capacity,
+                    device: self.device.clone(),
+                    iter,
+                    planning_ns,
+                    recovery: self.recovery.as_ref(),
+                    faults: faults.as_ref(),
+                };
+                let (run, stats) = drive(&it, log.as_mut());
+                (run.report, run.observations, capacity, stats)
+            }
+            None => {
+                // The DTR engine's reactive eviction is itself an OOM
+                // handler; the ladder and the chaos hooks do not apply, and
+                // it runs in the whole device.
+                let it = DtrIteration::new(&profile, budget)
+                    .device(&self.device)
+                    .capacity(self.device.total_mem_bytes)
+                    .iter(iter);
+                let (report, stats) = crate::dtr_engine::run(&it, log.as_mut());
+                (report, None, it.device_capacity, stats)
+            }
+        };
+        self.policy.end_iteration(&IterationObservation {
+            iter,
+            input: *input,
+            input_size: profile.input_size,
+            blocks: observations,
+            peak_bytes: report.peak_bytes,
+            oom: !report.ok(),
+            recovery: report.recovery.clone(),
+        });
+        let record = log.map(|log| IterationRecord {
+            iter,
+            capacity: arena_capacity,
+            events: log.events,
+            arena: stats,
+        });
+        Ok((report, record))
     }
 
     /// Run `iters` iterations; returns their per-iteration reports.
@@ -430,24 +567,28 @@ impl<'a> Session<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Trainer;
     use mimose_core::{MimoseConfig, MimosePolicy};
     use mimose_data::presets;
     use mimose_models::builders::{bert_base, BertHead};
-    use mimose_planner::{BaselinePolicy, SublinearPolicy};
+    use mimose_planner::{BaselinePolicy, DtrPolicy, SublinearPolicy};
 
     fn assert_send<T: Send>(_: &T) {}
 
     #[test]
-    fn session_matches_trainer_byte_for_byte() {
+    fn borrowed_policy_matches_owned_byte_for_byte() {
         let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
         let ds = presets::glue_qqp();
         let budget = 5usize << 30;
         let worst = model.profile(&ds.worst_case()).unwrap();
 
         let mut pol = SublinearPolicy::plan_offline(&worst, budget);
-        let mut tr = Trainer::new(&model, &ds, &mut pol, 7);
-        let trainer_reports = tr.run(40).unwrap();
+        let mut borrowed = Session::builder(&model, &ds)
+            .policy(&mut pol)
+            .seed(7)
+            .build()
+            .unwrap();
+        assert_send(&borrowed);
+        let borrowed_reports = borrowed.run(40).unwrap();
 
         let mut session = Session::builder(&model, &ds)
             .policy(SublinearPolicy::plan_offline(&worst, budget))
@@ -457,16 +598,16 @@ mod tests {
         assert_send(&session);
         let session_reports = session.run(40).unwrap();
         assert_eq!(
-            format!("{trainer_reports:?}"),
+            format!("{borrowed_reports:?}"),
             format!("{session_reports:?}"),
-            "session and trainer must be byte-identical"
+            "a borrowed policy must drive the session exactly like an owned one"
         );
         assert_eq!(session.summary().iters, 40);
         assert_eq!(session.next_iter(), 40);
     }
 
     #[test]
-    fn session_drives_mimose_like_the_trainer() {
+    fn borrowed_mimose_stays_readable_after_the_run() {
         // Mimose measures its plan time with a wall clock, so time fields
         // are not reproducible across instances — compare everything else.
         let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
@@ -474,8 +615,15 @@ mod tests {
         let budget = 5usize << 30;
 
         let mut pol = MimosePolicy::new(MimoseConfig::with_budget(budget));
-        let mut tr = Trainer::new(&model, &ds, &mut pol, 7);
-        let trainer_reports = tr.run(40).unwrap();
+        let borrowed_reports = Session::builder(&model, &ds)
+            .policy(&mut pol)
+            .seed(7)
+            .build()
+            .unwrap()
+            .run(40)
+            .unwrap();
+        let shuttles = borrowed_reports.iter().filter(|r| r.shuttle).count();
+        assert_eq!(pol.stats().shuttle_iters, shuttles);
 
         let mut session = Session::builder(&model, &ds)
             .policy(MimosePolicy::new(MimoseConfig::with_budget(budget)))
@@ -483,7 +631,7 @@ mod tests {
             .build()
             .unwrap();
         let session_reports = session.run(40).unwrap();
-        for (a, b) in trainer_reports.iter().zip(&session_reports) {
+        for (a, b) in borrowed_reports.iter().zip(&session_reports) {
             assert_eq!(a.iter, b.iter);
             assert_eq!(a.input, b.input);
             assert_eq!(a.peak_bytes, b.peak_bytes);
@@ -493,10 +641,228 @@ mod tests {
     }
 
     #[test]
+    fn baseline_runs_unconstrained() {
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let ds = presets::glue_qqp();
+        let mut session = Session::builder(&model, &ds)
+            .policy(BaselinePolicy::new())
+            .seed(7)
+            .build()
+            .unwrap();
+        let s = session.run_summary(20).unwrap();
+        assert_eq!(s.oom_iters, 0);
+        assert!(s.total_ns > 0);
+    }
+
+    #[test]
+    fn mimose_respects_budget_after_collection() {
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let ds = presets::glue_qqp();
+        let budget = 5usize << 30;
+        let mut session = Session::builder(&model, &ds)
+            .policy(MimosePolicy::new(MimoseConfig::with_budget(budget)))
+            .seed(7)
+            .build()
+            .unwrap();
+        let reports = session.run(60).unwrap();
+        assert!(reports.iter().all(|r| r.ok()), "an iteration OOMed");
+        for r in &reports {
+            assert!(
+                r.peak_bytes <= budget,
+                "iter {}: peak {} MiB over budget",
+                r.iter,
+                r.peak_bytes >> 20
+            );
+        }
+        // Sheltered phase ended.
+        let shuttles = reports.iter().filter(|r| r.shuttle).count();
+        assert!((10..=30).contains(&shuttles), "shuttles = {shuttles}");
+    }
+
+    #[test]
+    fn sublinear_and_mimose_same_budget_mimose_faster() {
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let ds = presets::glue_qqp();
+        let budget = 4usize << 30;
+        let worst = model
+            .profile(&ds.worst_case())
+            .expect("preset worst case must profile");
+        let summary = |policy: Box<dyn MemoryPolicy>| {
+            Session::builder(&model, &ds)
+                .policy_boxed(policy)
+                .seed(7)
+                .build()
+                .unwrap()
+                .run_summary(80)
+                .unwrap()
+        };
+        let s_sub = summary(Box::new(SublinearPolicy::plan_offline(&worst, budget)));
+        let s_mim = summary(Box::new(MimosePolicy::new(MimoseConfig::with_budget(
+            budget,
+        ))));
+        assert_eq!(s_sub.oom_iters, 0);
+        assert_eq!(s_mim.oom_iters, 0);
+        assert!(
+            s_mim.total_ns < s_sub.total_ns,
+            "mimose {} ms vs sublinear {} ms",
+            s_mim.total_ns / 1_000_000,
+            s_sub.total_ns / 1_000_000
+        );
+    }
+
+    #[test]
+    fn dtr_runs_with_overhead() {
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let ds = presets::glue_qqp();
+        let mut session = Session::builder(&model, &ds)
+            .policy(DtrPolicy::new(5 << 30))
+            .seed(7)
+            .build()
+            .unwrap();
+        let s = session.run_summary(20).unwrap();
+        assert_eq!(s.oom_iters, 0);
+        assert!(s.time.bookkeeping_ns > 0);
+    }
+
+    #[test]
+    fn run_input_reports_profile_error() {
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let ds = presets::glue_qqp();
+        let mut session = Session::builder(&model, &ds)
+            .policy(BaselinePolicy::new())
+            .seed(7)
+            .build()
+            .unwrap();
+        // An image fed to a token model fails shape inference at the
+        // embedding op.
+        let bad = ModelInput::image(8, 224, 224);
+        let err = session.run_input(0, &bad).unwrap_err();
+        match &err {
+            ExecError::Profile { iter, .. } => assert_eq!(*iter, 0),
+            other => panic!("wrong error: {other}"),
+        }
+        assert!(err.to_string().contains("iteration 0"));
+    }
+
+    #[test]
+    fn mismatched_plan_shape_is_a_typed_error() {
+        use mimose_planner::{CheckpointPlan, PlannerMeta};
+        /// A policy that always answers with a 3-block plan regardless of
+        /// the profile it was shown.
+        struct BadPolicy;
+        impl MemoryPolicy for BadPolicy {
+            fn meta(&self) -> PlannerMeta {
+                BaselinePolicy::new().meta()
+            }
+            fn budget_bytes(&self) -> usize {
+                usize::MAX
+            }
+            fn begin_iteration(&mut self, _iter: usize, _profile: &ModelProfile) -> Directive {
+                Directive::RunPlan(CheckpointPlan::none(3))
+            }
+        }
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let ds = presets::glue_qqp();
+        let mut session = Session::builder(&model, &ds)
+            .policy(BadPolicy)
+            .seed(7)
+            .build()
+            .unwrap();
+        let err = session
+            .run_input(5, &ModelInput::tokens(8, 64))
+            .expect_err("a 3-block plan must be rejected");
+        match &err {
+            ExecError::PlanShape {
+                iter, kind, got, ..
+            } => {
+                assert_eq!(*iter, 5);
+                assert_eq!(*kind, "checkpoint");
+                assert_eq!(*got, 3);
+            }
+            other => panic!("wrong error: {other}"),
+        }
+        assert!(err.to_string().contains("covers 3 blocks"));
+    }
+
+    #[test]
+    fn over_epoch_run_is_data_exhausted() {
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let mut ds = presets::glue_qqp();
+        // Shrink the epoch to exactly 3 iterations.
+        if let Dataset::Text(d) = &mut ds {
+            d.epoch_samples = d.batch_size * 3;
+        }
+        assert_eq!(ds.iters_per_epoch(), 3);
+        let mut pol = BaselinePolicy::new();
+        let err = Session::builder(&model, &ds)
+            .policy(&mut pol)
+            .seed(7)
+            .build()
+            .unwrap()
+            .run(5)
+            .expect_err("5 iters over a 3-iter epoch");
+        match &err {
+            ExecError::DataExhausted { iter, len } => {
+                assert_eq!(*iter, 3);
+                assert_eq!(*len, 3);
+            }
+            other => panic!("wrong error: {other}"),
+        }
+        assert!(err.to_string().contains("one epoch holds 3"));
+        // Exactly one epoch is fine; one step past it is not.
+        let mut whole = Session::builder(&model, &ds)
+            .policy(&mut pol)
+            .seed(7)
+            .build()
+            .unwrap();
+        assert_eq!(whole.run(3).unwrap().len(), 3);
+        match whole.step() {
+            Err(ExecError::DataExhausted { iter: 3, len: 3 }) => {}
+            other => panic!("expected DataExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chaos_session_recovers_from_capacity_shrink() {
+        use mimose_chaos::{FaultInjector, FaultSpec};
+        use mimose_planner::memory_model::peak_bytes;
+        use mimose_planner::CheckpointPlan;
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let ds = presets::glue_qqp();
+        // Shrink the device (from iteration 3 onward) to just above the
+        // worst case's full-checkpoint floor: the baseline's no-checkpoint
+        // plan stops fitting and must be rescued by the ladder.
+        let worst = model.profile(&ds.worst_case()).unwrap();
+        let n = worst.blocks.len();
+        let floor = peak_bytes(&worst, &CheckpointPlan::all(n));
+        // The unconstrained baseline runs in a 4x-device arena.
+        let nominal = 4 * DeviceProfile::v100().total_mem_bytes;
+        let factor = (floor as f64 * 1.15) / nominal as f64;
+        let spec = FaultSpec {
+            seed: 11,
+            capacity_shrink: Some((3, factor)),
+            ..FaultSpec::default()
+        };
+        let mut session = Session::builder(&model, &ds)
+            .policy(BaselinePolicy::new())
+            .seed(7)
+            .recovery(RecoveryConfig::default())
+            .chaos(FaultInjector::new(spec))
+            .build()
+            .unwrap();
+        let reports = session.run(8).unwrap();
+        assert!(reports.iter().all(|r| r.ok()), "ladder must rescue");
+        let recovered = reports.iter().filter(|r| r.recovered()).count();
+        assert!(recovered > 0, "capacity shrink must trigger recovery");
+        assert!(reports.iter().take(3).all(|r| r.recovery.is_empty()));
+    }
+
+    #[test]
     fn build_without_policy_fails_typed() {
         let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
         let ds = presets::glue_qqp();
-        match Session::builder(&model, &ds).build() {
+        let built = Session::builder(&model, &ds).build();
+        match built {
             Err(ExecError::MissingPolicy) => {}
             Err(other) => panic!("expected MissingPolicy, got {other:?}"),
             Ok(_) => panic!("build without a policy must fail"),
@@ -623,23 +989,5 @@ mod tests {
         );
         // Recorded streams accumulate across the boundary.
         assert_eq!(second.take_records().len(), 12);
-    }
-
-    #[test]
-    fn step_past_epoch_is_data_exhausted() {
-        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
-        let mut ds = presets::glue_qqp();
-        if let Dataset::Text(d) = &mut ds {
-            d.epoch_samples = d.batch_size * 2;
-        }
-        let mut session = Session::builder(&model, &ds)
-            .policy(BaselinePolicy::new())
-            .build()
-            .unwrap();
-        session.run(2).unwrap();
-        match session.step() {
-            Err(ExecError::DataExhausted { iter: 2, len: 2 }) => {}
-            other => panic!("expected DataExhausted, got {other:?}"),
-        }
     }
 }

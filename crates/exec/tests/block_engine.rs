@@ -2,7 +2,7 @@
 //! public API only (the engine itself is a thin layer over
 //! `mimose_runtime::EngineCore`).
 
-use mimose_exec::{run_block_iteration, run_block_iteration_recorded, BlockMode};
+use mimose_exec::{BlockIteration, BlockMode, BlockRun};
 use mimose_models::builders::{bert_base, BertHead};
 use mimose_models::{ModelInput, ModelProfile};
 use mimose_planner::memory_model::{peak_bytes, FinePlan};
@@ -16,16 +16,20 @@ fn profile(seq: usize) -> ModelProfile {
         .unwrap()
 }
 
+/// One block-engine iteration on a V100 cost model.
+fn run_block(p: &ModelProfile, mode: BlockMode<'_>, capacity: usize) -> BlockRun {
+    BlockIteration::with_mode(p, mode).capacity(capacity).run()
+}
+
 #[test]
 fn engine_peak_matches_analytic_model() {
     let p = profile(128);
-    let dev = DeviceProfile::v100();
     for plan in [
         CheckpointPlan::none(p.blocks.len()),
         CheckpointPlan::all(p.blocks.len()),
         CheckpointPlan::from_indices(p.blocks.len(), &[1, 2, 3, 4, 5]).unwrap(),
     ] {
-        let run = run_block_iteration(&p, BlockMode::Plan(&plan), 64 << 30, &dev, 0, 0);
+        let run = run_block(&p, BlockMode::Plan(&plan), 64 << 30);
         assert!(run.report.ok());
         let analytic = peak_bytes(&p, &plan);
         let measured = run.report.peak_bytes;
@@ -40,22 +44,15 @@ fn engine_peak_matches_analytic_model() {
 #[test]
 fn checkpointing_reduces_peak_and_adds_recompute() {
     let p = profile(200);
-    let dev = DeviceProfile::v100();
-    let none = run_block_iteration(
+    let none = run_block(
         &p,
         BlockMode::Plan(&CheckpointPlan::none(p.blocks.len())),
         64 << 30,
-        &dev,
-        0,
-        0,
     );
-    let all = run_block_iteration(
+    let all = run_block(
         &p,
         BlockMode::Plan(&CheckpointPlan::all(p.blocks.len())),
         64 << 30,
-        &dev,
-        0,
-        0,
     );
     assert!(all.report.peak_bytes < none.report.peak_bytes);
     assert_eq!(none.report.time.recompute_ns, 0);
@@ -66,14 +63,10 @@ fn checkpointing_reduces_peak_and_adds_recompute() {
 #[test]
 fn oom_reported_when_over_capacity() {
     let p = profile(300);
-    let dev = DeviceProfile::v100();
-    let run = run_block_iteration(
+    let run = run_block(
         &p,
         BlockMode::Plan(&CheckpointPlan::none(p.blocks.len())),
-        3 << 30, // way below the no-checkpoint peak
-        &dev,
-        0,
-        0,
+        3 << 30,
     );
     assert!(!run.report.ok());
     assert_eq!(run.report.oom.as_ref().expect("oom").phase, "forward");
@@ -84,16 +77,12 @@ fn oom_reported_when_over_capacity() {
 #[test]
 fn shuttle_doubles_forward_time_and_measures() {
     let p = profile(128);
-    let dev = DeviceProfile::v100();
-    let plain = run_block_iteration(
+    let plain = run_block(
         &p,
         BlockMode::Plan(&CheckpointPlan::all(p.blocks.len())),
         64 << 30,
-        &dev,
-        0,
-        0,
     );
-    let shuttle = run_block_iteration(&p, BlockMode::Shuttle, 64 << 30, &dev, 0, 0);
+    let shuttle = run_block(&p, BlockMode::Shuttle, 64 << 30);
     assert!(shuttle.report.ok());
     let obs = shuttle.observations.as_ref().expect("shuttle observes");
     assert_eq!(obs.len(), p.blocks.len());
@@ -111,24 +100,16 @@ fn shuttle_doubles_forward_time_and_measures() {
 #[test]
 fn fine_plan_drops_partial_bytes() {
     let p = profile(200);
-    let dev = DeviceProfile::v100();
     let n = p.blocks.len();
     let mut fine = FinePlan::none(n);
     // Drop ~half of encoder 1's internals.
     fine.dropped_bytes[1] = p.blocks[1].act_bytes / 2;
     fine.recompute_flops[1] = p.blocks[1].fwd_flops / 2.0;
-    let run = run_block_iteration(&p, BlockMode::Fine(&fine), 64 << 30, &dev, 0, 0);
+    let run = run_block(&p, BlockMode::Fine(&fine), 64 << 30);
     assert!(run.report.ok());
     assert!(run.report.dropped_units > 0);
     assert!(run.report.time.recompute_ns > 0);
-    let full = run_block_iteration(
-        &p,
-        BlockMode::Plan(&CheckpointPlan::none(n)),
-        64 << 30,
-        &dev,
-        0,
-        0,
-    );
+    let full = run_block(&p, BlockMode::Plan(&CheckpointPlan::none(n)), 64 << 30);
     assert!(run.report.peak_bytes < full.report.peak_bytes);
 }
 
@@ -142,8 +123,8 @@ fn hybrid_swap_charges_transfer_not_recompute() {
     let mut rec_plan = HybridPlan::keep_all(n);
     rec_plan.actions[1] = BlockAction::Recompute;
 
-    let swap = run_block_iteration(&p, BlockMode::Hybrid(&swap_plan), 64 << 30, &dev, 0, 0);
-    let rec = run_block_iteration(&p, BlockMode::Hybrid(&rec_plan), 64 << 30, &dev, 0, 0);
+    let swap = run_block(&p, BlockMode::Hybrid(&swap_plan), 64 << 30);
+    let rec = run_block(&p, BlockMode::Hybrid(&rec_plan), 64 << 30);
     assert!(swap.report.ok() && rec.report.ok());
     // Identical memory behaviour...
     assert_eq!(swap.report.peak_bytes, rec.report.peak_bytes);
@@ -164,10 +145,12 @@ fn hybrid_swap_charges_transfer_not_recompute() {
 #[test]
 fn planning_ns_charged_to_clock() {
     let p = profile(64);
-    let dev = DeviceProfile::v100();
     let plan = CheckpointPlan::none(p.blocks.len());
-    let without = run_block_iteration(&p, BlockMode::Plan(&plan), 64 << 30, &dev, 0, 0);
-    let with = run_block_iteration(&p, BlockMode::Plan(&plan), 64 << 30, &dev, 0, 123_456);
+    let without = run_block(&p, BlockMode::Plan(&plan), 64 << 30);
+    let with = BlockIteration::plan(&p, &plan)
+        .capacity(64 << 30)
+        .planning_ns(123_456)
+        .run();
     assert_eq!(
         with.report.time.total_ns(),
         without.report.time.total_ns() + 123_456
@@ -177,11 +160,12 @@ fn planning_ns_charged_to_clock() {
 #[test]
 fn recorded_stream_folds_back_to_the_report() {
     let p = profile(128);
-    let dev = DeviceProfile::v100();
     let plan = CheckpointPlan::from_indices(p.blocks.len(), &[1, 3, 5]).unwrap();
     let capacity = 64usize << 30;
-    let (run, events, stats) =
-        run_block_iteration_recorded(&p, BlockMode::Plan(&plan), capacity, &dev, 0, 777);
+    let (run, events, stats) = BlockIteration::plan(&p, &plan)
+        .capacity(capacity)
+        .planning_ns(777)
+        .run_recorded();
     assert!(run.report.ok());
     let f = fold_events(capacity, &events);
     assert_eq!(f.time, run.report.time);

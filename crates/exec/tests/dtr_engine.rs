@@ -1,10 +1,10 @@
 //! Behavioural tests of the DTR tensor engine, driven through the public
 //! API only.
 
-use mimose_exec::{run_dtr_iteration, run_dtr_iteration_recorded};
+use mimose_exec::DtrIteration;
 use mimose_models::builders::{roberta_base, BertHead};
 use mimose_models::{ModelInput, ModelProfile};
-use mimose_runtime::fold_events;
+use mimose_runtime::{fold_events, IterationReport};
 use mimose_simgpu::DeviceProfile;
 
 fn profile(seq: usize) -> ModelProfile {
@@ -13,11 +13,15 @@ fn profile(seq: usize) -> ModelProfile {
         .unwrap()
 }
 
+/// One DTR iteration on a V100 cost model in a 16 GiB arena.
+fn run(p: &ModelProfile, budget: usize) -> IterationReport {
+    DtrIteration::new(p, budget).capacity(16 << 30).run()
+}
+
 #[test]
 fn loose_budget_needs_no_evictions() {
     let p = profile(100);
-    let dev = DeviceProfile::v100();
-    let r = run_dtr_iteration(&p, 14 << 30, 16 << 30, &dev, 0);
+    let r = run(&p, 14 << 30);
     assert!(r.ok());
     assert_eq!(r.dropped_units, 0);
     assert_eq!(r.time.recompute_ns, 0);
@@ -26,9 +30,8 @@ fn loose_budget_needs_no_evictions() {
 #[test]
 fn tight_budget_evicts_and_recomputes() {
     let p = profile(128);
-    let dev = DeviceProfile::v100();
-    let loose = run_dtr_iteration(&p, 14 << 30, 16 << 30, &dev, 0);
-    let tight = run_dtr_iteration(&p, 5 << 30, 16 << 30, &dev, 0);
+    let loose = run(&p, 14 << 30);
+    let tight = run(&p, 5 << 30);
     assert!(tight.ok(), "tight run OOMed: {:?}", tight.oom);
     assert!(tight.dropped_units > 0);
     assert!(tight.time.recompute_ns > 0);
@@ -42,8 +45,7 @@ fn bookkeeping_overhead_exists_even_without_evictions() {
     // §III-B: "such overhead exists even without any activation tensor
     // dropped".
     let p = profile(80);
-    let dev = DeviceProfile::v100();
-    let r = run_dtr_iteration(&p, 14 << 30, 16 << 30, &dev, 0);
+    let r = run(&p, 14 << 30);
     assert!(r.time.bookkeeping_ns > 0);
     let frac = r.time.bookkeeping_ns as f64 / r.time.total_ns() as f64;
     assert!(frac > 0.05, "bookkeeping fraction too small: {frac}");
@@ -52,8 +54,7 @@ fn bookkeeping_overhead_exists_even_without_evictions() {
 #[test]
 fn infeasible_budget_reports_oom() {
     let p = profile(128);
-    let dev = DeviceProfile::v100();
-    let r = run_dtr_iteration(&p, 1 << 30, 16 << 30, &dev, 0);
+    let r = run(&p, 1 << 30);
     assert!(!r.ok());
 }
 
@@ -66,11 +67,10 @@ fn metadata_charge_is_uniform_across_every_slot_touch() {
     // once at creation and once by its backward materialisation, and every
     // eviction adds one more.
     let p = profile(128);
-    let dev = DeviceProfile::v100();
-    let meta = dev.dtr_meta_ns_per_tensor as u64;
+    let meta = DeviceProfile::v100().dtr_meta_ns_per_tensor as u64;
     let total_slots: usize = p.blocks.iter().map(|b| b.tensors.len() + 1).sum();
 
-    let loose = run_dtr_iteration(&p, 14 << 30, 16 << 30, &dev, 0);
+    let loose = run(&p, 14 << 30);
     assert_eq!(loose.dropped_units, 0);
     assert_eq!(
         loose.time.bookkeeping_ns,
@@ -78,7 +78,7 @@ fn metadata_charge_is_uniform_across_every_slot_touch() {
         "creation + backward access, uniformly charged"
     );
 
-    let tight = run_dtr_iteration(&p, 5 << 30, 16 << 30, &dev, 0);
+    let tight = run(&p, 5 << 30);
     assert!(tight.dropped_units > 0);
     assert_eq!(
         tight.time.bookkeeping_ns,
@@ -90,9 +90,10 @@ fn metadata_charge_is_uniform_across_every_slot_touch() {
 #[test]
 fn recorded_stream_folds_back_to_the_report() {
     let p = profile(100);
-    let dev = DeviceProfile::v100();
     let capacity = 16usize << 30;
-    let (report, events, stats) = run_dtr_iteration_recorded(&p, 6 << 30, capacity, &dev, 0);
+    let (report, events, stats) = DtrIteration::new(&p, 6 << 30)
+        .capacity(capacity)
+        .run_recorded();
     assert!(report.ok());
     let f = fold_events(capacity, &events);
     assert_eq!(f.time, report.time);

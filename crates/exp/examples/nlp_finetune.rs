@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example nlp_finetune`
 
-use mimose::exec::Trainer;
+use mimose::exec::Session;
 use mimose_exp::planners::{build_policy, PlannerKind};
 use mimose_exp::tasks::Task;
 
@@ -27,9 +27,12 @@ fn main() {
     println!("planner    total(s)  vs baseline  peak(GiB)  recompute%  oom");
     let mut baseline_ns = None;
     for kind in PlannerKind::comparison_set() {
-        let mut policy = build_policy(kind, &task, budget);
-        let mut trainer = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 7);
-        let s = trainer.run_summary(iters).expect("run");
+        let s = Session::builder(&task.model, &task.dataset)
+            .policy_boxed(build_policy(kind, &task, budget))
+            .seed(7)
+            .build()
+            .and_then(|mut session| session.run_summary(iters))
+            .expect("run");
         if kind == PlannerKind::Baseline {
             baseline_ns = Some(s.total_ns);
         }

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example object_detection`
 
 use mimose::core::{MimoseConfig, MimosePolicy};
-use mimose::exec::Trainer;
+use mimose::exec::Session;
 use mimose::planner::SublinearPolicy;
 use mimose_exp::tasks::Task;
 
@@ -36,15 +36,19 @@ fn main() {
     println!();
 
     // Mimose vs the conservative static plan.
-    let mut mimose = MimosePolicy::new(MimoseConfig::with_budget(budget));
-    let s_mimose = Trainer::new(&task.model, &task.dataset, &mut mimose, 9)
-        .run_summary(iters)
+    let s_mimose = Session::builder(&task.model, &task.dataset)
+        .policy(MimosePolicy::new(MimoseConfig::with_budget(budget)))
+        .seed(9)
+        .build()
+        .and_then(|mut session| session.run_summary(iters))
         .expect("run");
 
     let worst = task.worst_profile();
-    let mut sublinear = SublinearPolicy::plan_offline(&worst, budget);
-    let s_sub = Trainer::new(&task.model, &task.dataset, &mut sublinear, 9)
-        .run_summary(iters)
+    let s_sub = Session::builder(&task.model, &task.dataset)
+        .policy(SublinearPolicy::plan_offline(&worst, budget))
+        .seed(9)
+        .build()
+        .and_then(|mut session| session.run_summary(iters))
         .expect("run");
 
     println!("planner    total(s)  peak(GiB)  frag(GiB)  recompute%");

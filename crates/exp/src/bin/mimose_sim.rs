@@ -9,12 +9,18 @@ use mimose_exp::table::{gib, ms};
 
 fn run(opt: &SimOptions) {
     let task = find_task(&opt.task).expect("validated by parse_args");
-    let mut policy = build_policy(opt.planner, &task, opt.budget_bytes);
-    let mut trainer = Trainer::new(&task.model, &task.dataset, policy.as_mut(), opt.seed);
-    if opt.a100 {
-        trainer.device = DeviceProfile::a100();
-    }
-    let reports = trainer.run(opt.iters).expect("training run");
+    let device = if opt.a100 {
+        DeviceProfile::a100()
+    } else {
+        DeviceProfile::v100()
+    };
+    let reports = Session::builder(&task.model, &task.dataset)
+        .policy_boxed(build_policy(opt.planner, &task, opt.budget_bytes))
+        .seed(opt.seed)
+        .device(device)
+        .build()
+        .and_then(|mut session| session.run(opt.iters))
+        .expect("training run");
     if opt.csv {
         print!("{}", iterations_to_csv(&reports));
         return;

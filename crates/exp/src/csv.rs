@@ -87,14 +87,17 @@ mod tests {
     use super::*;
     use crate::planners::{build_policy, PlannerKind};
     use crate::tasks::Task;
-    use mimose_exec::Trainer;
+    use mimose_exec::Session;
 
     #[test]
     fn iteration_csv_has_one_row_per_report() {
         let task = Task::tc_bert();
-        let mut pol = build_policy(PlannerKind::Sublinear, &task, 5 << 30);
-        let mut tr = Trainer::new(&task.model, &task.dataset, pol.as_mut(), 3);
-        let reports = tr.run(12).expect("csv run");
+        let reports = Session::builder(&task.model, &task.dataset)
+            .policy_boxed(build_policy(PlannerKind::Sublinear, &task, 5 << 30))
+            .seed(3)
+            .build()
+            .and_then(|mut session| session.run(12))
+            .expect("csv run");
         let csv = iterations_to_csv(&reports);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 13); // header + 12 rows
@@ -109,9 +112,12 @@ mod tests {
     #[test]
     fn summary_csv_round_numbers() {
         let task = Task::tc_bert();
-        let mut pol = build_policy(PlannerKind::Baseline, &task, 5 << 30);
-        let mut tr = Trainer::new(&task.model, &task.dataset, pol.as_mut(), 3);
-        let s = tr.run_summary(5).expect("csv run");
+        let s = Session::builder(&task.model, &task.dataset)
+            .policy_boxed(build_policy(PlannerKind::Baseline, &task, 5 << 30))
+            .seed(3)
+            .build()
+            .and_then(|mut session| session.run_summary(5))
+            .expect("csv run");
         let csv = summaries_to_csv(&[("base,line".to_string(), s.clone())]);
         assert!(csv.contains("\"base,line\""), "label must be escaped");
         assert!(csv.contains(&s.total_ns.to_string()));

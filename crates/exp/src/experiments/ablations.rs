@@ -8,7 +8,7 @@ use mimose_core::{
     CostAwareScheduler, GreedyBucketScheduler, KnapsackScheduler, MimoseConfig, MimosePolicy,
     Scheduler,
 };
-use mimose_exec::{DtrIteration, Trainer};
+use mimose_exec::{DtrIteration, Session};
 use mimose_models::ModelInput;
 use mimose_simgpu::{AllocPolicy, DeviceProfile};
 
@@ -39,8 +39,12 @@ pub fn cache_ablation(budget: usize, iters: usize) -> Vec<CacheAblationRow> {
         let mut cfg = MimoseConfig::with_budget(budget);
         cfg.cache_relative_width = width.max(1e-9);
         let mut pol = MimosePolicy::new(cfg);
-        let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 31);
-        let _ = tr.run(iters).expect("warm run");
+        let _ = Session::builder(&task.model, &task.dataset)
+            .policy(&mut pol)
+            .seed(31)
+            .build()
+            .and_then(|mut session| session.run(iters))
+            .expect("warm run");
         let st = pol.stats();
         rows.push(CacheAblationRow {
             label,
@@ -108,9 +112,12 @@ pub fn tolerance_ablation(budget: usize, iters: usize, tolerances: &[f64]) -> Ve
                 bucket_tolerance: tol,
                 ..MimoseConfig::with_budget(budget)
             };
-            let mut pol = MimosePolicy::new(cfg);
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 31);
-            let reports = tr.run(iters).expect("ablation run");
+            let reports = Session::builder(&task.model, &task.dataset)
+                .policy(MimosePolicy::new(cfg))
+                .seed(31)
+                .build()
+                .and_then(|mut session| session.run(iters))
+                .expect("ablation run");
             ToleranceRow {
                 tolerance: tol,
                 recompute_ns: reports.iter().map(|r| r.time.recompute_ns).sum(),
@@ -169,8 +176,12 @@ pub fn collect_ablation(budget: usize, counts: &[usize], iters: usize) -> Vec<Co
                 ..MimoseConfig::with_budget(budget)
             };
             let mut pol = MimosePolicy::new(cfg);
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 31);
-            let reports = tr.run(iters).expect("ablation run");
+            let reports = Session::builder(&task.model, &task.dataset)
+                .policy(&mut pol)
+                .seed(31)
+                .build()
+                .and_then(|mut session| session.run(iters))
+                .expect("ablation run");
             let shuttle_extra: u64 = reports
                 .iter()
                 .filter(|r| r.shuttle)
@@ -265,9 +276,12 @@ pub fn scheduler_ablation(budget: usize, iters: usize) -> Vec<SchedulerRow> {
     mk.into_iter()
         .map(|(name, make)| {
             let cfg = MimoseConfig::with_budget(budget);
-            let mut pol = MimosePolicy::with_scheduler(cfg, make());
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 31);
-            let reports = tr.run(iters).expect("ablation run");
+            let reports = Session::builder(&task.model, &task.dataset)
+                .policy(MimosePolicy::with_scheduler(cfg, make()))
+                .seed(31)
+                .build()
+                .and_then(|mut session| session.run(iters))
+                .expect("ablation run");
             SchedulerRow {
                 name,
                 total_ns: reports.iter().map(|r| r.time.total_ns()).sum(),
@@ -393,12 +407,16 @@ pub fn adaptive_ablation(budget: usize) -> Vec<AdaptiveRow> {
         };
         cfg.poly_order = 1; // weak estimator: linear fit of quadratic memory
         let mut pol = MimosePolicy::new(cfg);
-        let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 31);
+        let mut session = Session::builder(&task.model, &task.dataset)
+            .policy(&mut pol)
+            .seed(31)
+            .build()
+            .expect("drift session");
         let mut violations = 0usize;
         // Phase 1: collect on short sequences (30..90).
         for i in 0..20 {
             let seq = 30 + (i * 3) % 60;
-            let r = tr
+            let r = session
                 .run_input(i, &ModelInput::tokens(32, seq))
                 .expect("drift run");
             if r.peak_bytes > budget {
@@ -407,13 +425,14 @@ pub fn adaptive_ablation(budget: usize) -> Vec<AdaptiveRow> {
         }
         // Phase 2: drift far beyond the fitted support.
         for (j, seq) in (160..=320).step_by(10).enumerate() {
-            let r = tr
+            let r = session
                 .run_input(100 + j, &ModelInput::tokens(32, seq))
                 .expect("drift run");
             if r.peak_bytes > budget {
                 violations += 1;
             }
         }
+        drop(session);
         let st = pol.stats();
         AdaptiveRow {
             label: if adaptive { "adaptive" } else { "base" },

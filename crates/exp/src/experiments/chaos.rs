@@ -22,7 +22,7 @@ use crate::tasks::Task;
 use mimose_audit::{has_errors, lint_recovery_trace};
 use mimose_chaos::{FaultInjector, FaultSpec};
 use mimose_core::{MimoseConfig, MimosePolicy};
-use mimose_exec::{IterationReport, RecoveryConfig, RunSummary, Trainer};
+use mimose_exec::{IterationReport, RecoveryConfig, RunSummary, Session};
 use mimose_planner::memory_model::{min_feasible_budget, peak_bytes};
 use mimose_planner::CheckpointPlan;
 
@@ -228,7 +228,7 @@ pub fn scenario_spec(
 ) -> (FaultSpec, f64) {
     let worst = task.worst_profile();
     let floor = min_feasible_budget(&worst);
-    // The trainer sizes budgeted arenas to the physical device.
+    // A session sizes budgeted arenas to the physical device.
     let nominal = mimose_simgpu::DeviceProfile::v100().total_mem_bytes;
     let eff = opt
         .budget_bytes
@@ -312,9 +312,12 @@ fn build_policy(opt: &ChaosOptions, estimate_scale: f64) -> MimosePolicy {
 ///
 /// Panics when the underlying training run fails.
 pub fn clean_reference(task: &Task, opt: &ChaosOptions) -> Vec<IterationReport> {
-    let mut policy = build_policy(opt, 1.0);
-    let mut tr = Trainer::new(&task.model, &task.dataset, &mut policy, opt.seed);
-    tr.run(opt.iters).expect("chaos run")
+    let reports = Session::builder(&task.model, &task.dataset)
+        .policy(build_policy(opt, 1.0))
+        .seed(opt.seed)
+        .build()
+        .and_then(|mut session| session.run(opt.iters));
+    reports.expect("chaos run")
 }
 
 /// Fold per-iteration reports into a summary.
@@ -365,11 +368,14 @@ pub fn run_scenario(
     let expects_events = scenario.expects_recovery()
         && (squeeze_bites || spec.alloc_failure_rate > 0.0 || estimate_scale < 1.0);
     let recovery = RecoveryConfig::default();
-    let mut policy = build_policy(opt, estimate_scale);
-    let mut tr = Trainer::new(&task.model, &task.dataset, &mut policy, opt.seed)
-        .with_recovery(recovery.clone())
-        .with_chaos(FaultInjector::new(spec));
-    let reports = tr.run(opt.iters).expect("chaos run");
+    let reports = Session::builder(&task.model, &task.dataset)
+        .policy(build_policy(opt, estimate_scale))
+        .seed(opt.seed)
+        .recovery(recovery.clone())
+        .chaos(FaultInjector::new(spec))
+        .build()
+        .and_then(|mut session| session.run(opt.iters))
+        .expect("chaos run");
 
     let mut summary = RunSummary::default();
     let mut fatal_iters = 0usize;

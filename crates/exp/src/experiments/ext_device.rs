@@ -8,7 +8,7 @@
 use crate::planners::{build_policy, PlannerKind};
 use crate::table::render_table;
 use crate::tasks::Task;
-use mimose_exec::Trainer;
+use mimose_exec::Session;
 use mimose_simgpu::DeviceProfile;
 
 /// One (device, planner) cell.
@@ -35,10 +35,13 @@ pub fn run(budget: usize, iters: usize) -> Vec<DeviceRow> {
         ("A100", DeviceProfile::a100()),
     ] {
         let total = |kind: PlannerKind| -> u64 {
-            let mut policy = build_policy(kind, &task, budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 17);
-            tr.device = dev.clone();
-            tr.run_summary(iters).expect("device run").total_ns
+            let summary = Session::builder(&task.model, &task.dataset)
+                .policy_boxed(build_policy(kind, &task, budget))
+                .seed(17)
+                .device(dev.clone())
+                .build()
+                .and_then(|mut session| session.run_summary(iters));
+            summary.expect("device run").total_ns
         };
         let base = total(PlannerKind::Baseline);
         for kind in [

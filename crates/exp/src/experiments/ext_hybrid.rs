@@ -9,7 +9,7 @@
 
 use crate::table::{gib, ms, render_table};
 use crate::tasks::Task;
-use mimose_exec::Trainer;
+use mimose_exec::Session;
 use mimose_planner::{BlockAction, CapuchinPolicy, SublinearPolicy};
 use mimose_simgpu::DeviceProfile;
 
@@ -45,15 +45,21 @@ pub fn run(budget: usize, iters: usize, bandwidths: &[f64]) -> Vec<HybridRow> {
             let swapped = cap.plan().count(BlockAction::Swap);
             let recomputed = cap.plan().count(BlockAction::Recompute);
 
-            let mut cap_pol = cap;
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut cap_pol, 61);
-            tr.device = dev.clone();
-            let hybrid = tr.run_summary(iters).expect("hybrid run");
+            let hybrid = Session::builder(&task.model, &task.dataset)
+                .policy(cap)
+                .seed(61)
+                .device(dev.clone())
+                .build()
+                .and_then(|mut session| session.run_summary(iters))
+                .expect("hybrid run");
 
-            let mut sub = SublinearPolicy::plan_offline(&worst, budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut sub, 61);
-            tr.device = dev;
-            let sublinear = tr.run_summary(iters).expect("sublinear run");
+            let sublinear = Session::builder(&task.model, &task.dataset)
+                .policy(SublinearPolicy::plan_offline(&worst, budget))
+                .seed(61)
+                .device(dev)
+                .build()
+                .and_then(|mut session| session.run_summary(iters))
+                .expect("sublinear run");
 
             HybridRow {
                 bandwidth: bw,

@@ -6,7 +6,7 @@ use crate::planners::{build_policy, PlannerKind};
 use crate::table::{gib, render_table};
 use crate::tasks::Task;
 use mimose_data::Dataset;
-use mimose_exec::{RunSummary, Trainer};
+use mimose_exec::{RunSummary, Session};
 use mimose_planner::memory_model::min_feasible_budget;
 
 /// One (task, budget, planner) measurement.
@@ -51,9 +51,12 @@ pub fn budgets_for(task: &Task) -> Vec<usize> {
 }
 
 fn run_one(task: &Task, budget: usize, kind: PlannerKind, iters: usize, seed: u64) -> RunSummary {
-    let mut policy = build_policy(kind, task, budget);
-    let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), seed);
-    tr.run_summary(iters).expect("fig10 run")
+    let summary = Session::builder(&task.model, &task.dataset)
+        .policy_boxed(build_policy(kind, task, budget))
+        .seed(seed)
+        .build()
+        .and_then(|mut session| session.run_summary(iters));
+    summary.expect("fig10 run")
 }
 
 /// Run the full grid. `nlp_iters`/`od_iters` control per-run length.

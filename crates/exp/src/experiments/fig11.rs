@@ -4,7 +4,7 @@
 use crate::table::{gib, render_table};
 use crate::tasks::Task;
 use mimose_core::{MimoseConfig, MimosePolicy};
-use mimose_exec::Trainer;
+use mimose_exec::Session;
 
 /// Per-iteration (seqlen, peak bytes, shuttle?) samples for one budget.
 pub struct Fig11Series {
@@ -26,10 +26,11 @@ pub fn run(budgets_gb: &[usize], iters: usize) -> Vec<Fig11Series> {
         .map(|&gb| {
             let budget = gb << 30;
             let task = Task::tc_bert();
-            let mut pol = MimosePolicy::new(MimoseConfig::with_budget(budget));
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 21);
-            let points = tr
-                .run(iters)
+            let points = Session::builder(&task.model, &task.dataset)
+                .policy(MimosePolicy::new(MimoseConfig::with_budget(budget)))
+                .seed(21)
+                .build()
+                .and_then(|mut session| session.run(iters))
                 .expect("fig11 run")
                 .into_iter()
                 .map(|r| (r.input.per_sample_extent(), r.peak_bytes, r.shuttle))

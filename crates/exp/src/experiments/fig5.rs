@@ -3,7 +3,7 @@
 
 use crate::table::{gib, render_table};
 use crate::tasks::Task;
-use mimose_exec::Trainer;
+use mimose_exec::Session;
 use mimose_planner::DtrPolicy;
 
 /// Breakdown for one budget.
@@ -36,9 +36,12 @@ pub fn run(budgets_gb: &[f64], iters: usize) -> Vec<Fig5Row> {
         .map(|&gb| {
             let budget = (gb * (1u64 << 30) as f64) as usize;
             let task = Task::mc_roberta();
-            let mut pol = DtrPolicy::new(budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 5);
-            let s = tr.run_summary(iters).expect("fig5 run");
+            let s = Session::builder(&task.model, &task.dataset)
+                .policy(DtrPolicy::new(budget))
+                .seed(5)
+                .build()
+                .and_then(|mut session| session.run_summary(iters))
+                .expect("fig5 run");
             let total = s.time.total_ns() as f64;
             Fig5Row {
                 budget,

@@ -6,7 +6,7 @@
 use crate::table::{ms, render_table};
 use crate::tasks::Task;
 use mimose_core::{MimoseConfig, MimosePolicy};
-use mimose_exec::Trainer;
+use mimose_exec::Session;
 
 /// One task's overhead breakdown.
 pub struct Table3Row {
@@ -58,8 +58,12 @@ pub fn run(budget: usize, max_iters: usize) -> Vec<Table3Row> {
             };
             let iters = task.dataset.iters_per_epoch().min(max_iters);
             let mut pol = MimosePolicy::new(MimoseConfig::with_budget(budget));
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 11);
-            let reports = tr.run(iters).expect("table3 run");
+            let reports = Session::builder(&task.model, &task.dataset)
+                .policy(&mut pol)
+                .seed(11)
+                .build()
+                .and_then(|mut session| session.run(iters))
+                .expect("table3 run");
             let normal: Vec<&mimose_exec::IterationReport> =
                 reports.iter().filter(|r| !r.shuttle).collect();
             let iter_ns =

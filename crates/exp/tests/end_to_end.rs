@@ -3,37 +3,85 @@
 //! dynamic workloads, and the whole simulation is deterministic.
 
 use mimose::core::{MimoseConfig, MimosePolicy};
-use mimose::exec::Trainer;
+use mimose::exec::Session;
+use mimose::planner::MemoryPolicy;
 use mimose_exp::planners::{build_policy, PlannerKind};
 use mimose_exp::tasks::Task;
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs every comparison planner (plus `DeterministicMimose`, whose plan
+/// cost is modeled rather than wall-clock timed) on every task, and pins the
+/// runs with bit-stable reports byte for byte: one `task planner digest`
+/// line per run, FNV-1a over the `Debug` bytes of its reports, against a
+/// fixture generated before the executor's two front ends were merged into
+/// `Session`. A deliberate timeline change updates the fixture by hand from
+/// the digests the failure message prints.
 #[test]
 fn every_planner_runs_every_task() {
+    use mimose::cluster::DeterministicMimose;
+    let mut digests = String::new();
     for task in Task::all() {
         let budget = if task.abbr.starts_with("OD") {
             14usize << 30
         } else {
             6 << 30
         };
-        for kind in PlannerKind::comparison_set() {
-            let mut policy = build_policy(kind, &task, budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 13);
-            let s = tr.run_summary(25).unwrap();
-            assert!(s.total_ns > 0, "{} / {}", task.abbr, kind.name());
+        let mut runs: Vec<(&str, Box<dyn MemoryPolicy>)> = PlannerKind::comparison_set()
+            .into_iter()
+            .map(|k| (k.name(), build_policy(k, &task, budget)))
+            .collect();
+        runs.push((
+            "DeterministicMimose",
+            Box::new(DeterministicMimose::new(MimosePolicy::new(
+                MimoseConfig::with_budget(budget),
+            ))),
+        ));
+        for (name, policy) in runs {
+            let reports = Session::builder(&task.model, &task.dataset)
+                .policy_boxed(policy)
+                .seed(13)
+                .build()
+                .and_then(|mut session| session.run(25))
+                .unwrap();
             // Some planners legitimately OOM (static plans on OD); the run
             // itself must still complete and account its time.
-            assert_eq!(s.iters, 25, "{} / {}", task.abbr, kind.name());
+            assert_eq!(reports.len(), 25, "{} / {name}", task.abbr);
+            assert!(
+                reports.iter().map(|r| r.time.total_ns()).sum::<u64>() > 0,
+                "{} / {name}",
+                task.abbr
+            );
+            // Mimose times its own planning on the wall clock.
+            if name != PlannerKind::Mimose.name() {
+                let digest = fnv1a(format!("{reports:?}").as_bytes());
+                digests.push_str(&format!("{} {name} {digest:016x}\n", task.abbr));
+            }
         }
     }
+    let want = include_str!("fixtures/planner_sweep_digests.txt");
+    assert_eq!(
+        digests, want,
+        "planner sweep diverged from the pinned digests"
+    );
 }
 
 #[test]
 fn mimose_honours_budget_on_all_nlp_tasks() {
     for task in Task::nlp() {
         let budget = 6usize << 30;
-        let mut policy = MimosePolicy::new(MimoseConfig::with_budget(budget));
-        let mut tr = Trainer::new(&task.model, &task.dataset, &mut policy, 29);
-        for r in tr.run(80).unwrap() {
+        let reports = Session::builder(&task.model, &task.dataset)
+            .policy(MimosePolicy::new(MimoseConfig::with_budget(budget)))
+            .seed(29)
+            .build()
+            .and_then(|mut session| session.run(80))
+            .unwrap();
+        for r in reports {
             assert!(r.ok(), "{}: OOM at iter {}", task.abbr, r.iter);
             assert!(
                 r.peak_bytes <= budget,
@@ -54,9 +102,13 @@ fn mimose_beats_sublinear_on_every_nlp_task() {
         let budget = 6usize << 30;
         let iters = 150;
         let total = |kind: PlannerKind| {
-            let mut policy = build_policy(kind, &task, budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 55);
-            tr.run_summary(iters).unwrap().total_ns
+            Session::builder(&task.model, &task.dataset)
+                .policy_boxed(build_policy(kind, &task, budget))
+                .seed(55)
+                .build()
+                .and_then(|mut session| session.run_summary(iters))
+                .unwrap()
+                .total_ns
         };
         let mim = total(PlannerKind::Mimose);
         let sub = total(PlannerKind::Sublinear);
@@ -74,9 +126,12 @@ fn mimose_beats_sublinear_on_every_nlp_task() {
 fn simulation_is_deterministic() {
     let task = Task::tc_bert();
     let run = || {
-        let mut policy = build_policy(PlannerKind::Sublinear, &task, 5 << 30);
-        let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 1234);
-        let s = tr.run_summary(60).unwrap();
+        let s = Session::builder(&task.model, &task.dataset)
+            .policy_boxed(build_policy(PlannerKind::Sublinear, &task, 5 << 30))
+            .seed(1234)
+            .build()
+            .and_then(|mut session| session.run_summary(60))
+            .unwrap();
         (s.total_ns, s.max_peak_bytes, s.max_frag_bytes)
     };
     assert_eq!(run(), run(), "virtual-time simulation must be bit-stable");
@@ -88,9 +143,12 @@ fn dtr_budget_violations_are_visible() {
     // footprint exceeds it.
     let task = Task::mc_roberta();
     let budget = (4.5 * (1u64 << 30) as f64) as usize;
-    let mut policy = build_policy(PlannerKind::Dtr, &task, budget);
-    let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 77);
-    let s = tr.run_summary(60).unwrap();
+    let s = Session::builder(&task.model, &task.dataset)
+        .policy_boxed(build_policy(PlannerKind::Dtr, &task, budget))
+        .seed(77)
+        .build()
+        .and_then(|mut session| session.run_summary(60))
+        .unwrap();
     assert!(s.max_peak_bytes <= budget, "logical usage over budget");
     assert!(
         s.max_peak_extent > budget,
@@ -103,9 +161,12 @@ fn dtr_budget_violations_are_visible() {
 fn knapsack_scheduler_is_a_working_alternative() {
     let task = Task::tc_bert();
     let budget = 5usize << 30;
-    let mut policy = build_policy(PlannerKind::MimoseKnapsack, &task, budget);
-    let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 21);
-    let s = tr.run_summary(80).unwrap();
+    let s = Session::builder(&task.model, &task.dataset)
+        .policy_boxed(build_policy(PlannerKind::MimoseKnapsack, &task, budget))
+        .seed(21)
+        .build()
+        .and_then(|mut session| session.run_summary(80))
+        .unwrap();
     assert_eq!(s.oom_iters, 0);
     assert!(s.max_peak_bytes <= budget);
 }
@@ -117,11 +178,15 @@ fn capuchin_hybrid_runs_within_budget() {
     let task = Task::tc_bert();
     let budget = 5usize << 30;
     let worst = task.worst_profile();
-    let mut policy = CapuchinPolicy::plan_offline(&worst, budget, &DeviceProfile::v100());
+    let policy = CapuchinPolicy::plan_offline(&worst, budget, &DeviceProfile::v100());
     assert!(policy.is_feasible());
     let actions = policy.plan().clone();
-    let mut tr = Trainer::new(&task.model, &task.dataset, &mut policy, 41);
-    let s = tr.run_summary(60).unwrap();
+    let s = Session::builder(&task.model, &task.dataset)
+        .policy(policy)
+        .seed(41)
+        .build()
+        .and_then(|mut session| session.run_summary(60))
+        .unwrap();
     assert_eq!(s.oom_iters, 0);
     assert!(s.max_peak_bytes <= budget);
     // At V100 PCIe bandwidth the plan should recompute, not swap (§I).
@@ -137,8 +202,12 @@ fn adaptive_mimose_matches_base_on_stationary_data() {
     let task = Task::mc_roberta();
     let budget = 6usize << 30;
     let mut pol = MimosePolicy::new(MimoseConfig::with_budget_adaptive(budget));
-    let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 19);
-    let s = tr.run_summary(120).unwrap();
+    let s = Session::builder(&task.model, &task.dataset)
+        .policy(&mut pol)
+        .seed(19)
+        .build()
+        .and_then(|mut session| session.run_summary(120))
+        .unwrap();
     assert_eq!(s.oom_iters, 0);
     assert!(s.max_peak_bytes <= budget);
     assert_eq!(pol.stats().recollections, 0, "stationary data re-collected");
@@ -148,9 +217,12 @@ fn adaptive_mimose_matches_base_on_stationary_data() {
 fn csv_export_round_trips_run_length() {
     use mimose_exp::csv::iterations_to_csv;
     let task = Task::qa_bert();
-    let mut policy = build_policy(PlannerKind::Mimose, &task, 6 << 30);
-    let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 5);
-    let reports = tr.run(30).unwrap();
+    let reports = Session::builder(&task.model, &task.dataset)
+        .policy_boxed(build_policy(PlannerKind::Mimose, &task, 6 << 30))
+        .seed(5)
+        .build()
+        .and_then(|mut session| session.run(30))
+        .unwrap();
     let csv = iterations_to_csv(&reports);
     assert_eq!(csv.lines().count(), 31);
 }

@@ -5,13 +5,13 @@
 //! bounds, produce a chain the audit linter accepts, and behave
 //! deterministically for a given seed. These tests throw hundreds of
 //! randomized fault schedules at the engine-level driver to check exactly
-//! that, then close with an end-to-end run through the trainer and the
+//! that, then close with an end-to-end run through a session and the
 //! Mimose policy showing the acceptance scenario: an injected estimator
 //! under-prediction that is fatal without the ladder completes with it.
 
 use mimose_audit::{lint_recovery_trace, Severity};
 use mimose_chaos::{FaultInjector, FaultSpec, IterationFaults};
-use mimose_exec::{BlockIteration, BlockRun, RecoveryConfig, Trainer};
+use mimose_exec::{BlockIteration, BlockRun, RecoveryConfig, Session};
 use mimose_exp::experiments::chaos::{clean_reference, scenario_spec, ChaosOptions, Scenario};
 use mimose_exp::tasks::Task;
 use mimose_models::builders::{bert_base, BertHead};
@@ -277,20 +277,26 @@ fn e2e_estimator_under_prediction_is_fatal_without_ladder_and_recovered_with_it(
     };
 
     // Without the ladder the faults are fatal.
-    let mut bare_policy = make_policy(estimate_scale);
-    let mut bare = Trainer::new(&task.model, &task.dataset, &mut bare_policy, opt.seed)
-        .with_chaos(FaultInjector::new(spec.clone()));
-    let bare_reports = bare.run(opt.iters).unwrap();
+    let bare_reports = Session::builder(&task.model, &task.dataset)
+        .policy(make_policy(estimate_scale))
+        .seed(opt.seed)
+        .chaos(FaultInjector::new(spec.clone()))
+        .build()
+        .and_then(|mut session| session.run(opt.iters))
+        .unwrap();
     let bare_fatal = bare_reports.iter().filter(|r| !r.ok()).count();
     assert!(bare_fatal > 0, "scenario must be fatal without recovery");
 
     // With the ladder every iteration completes.
     let recovery = RecoveryConfig::default();
-    let mut policy = make_policy(estimate_scale);
-    let mut tr = Trainer::new(&task.model, &task.dataset, &mut policy, opt.seed)
-        .with_recovery(recovery.clone())
-        .with_chaos(FaultInjector::new(spec));
-    let reports = tr.run(opt.iters).unwrap();
+    let reports = Session::builder(&task.model, &task.dataset)
+        .policy(make_policy(estimate_scale))
+        .seed(opt.seed)
+        .recovery(recovery.clone())
+        .chaos(FaultInjector::new(spec))
+        .build()
+        .and_then(|mut session| session.run(opt.iters))
+        .unwrap();
 
     let fatal = reports.iter().filter(|r| !r.ok()).count();
     assert_eq!(fatal, 0, "ladder must rescue every injected OOM");

@@ -163,6 +163,38 @@ pub trait MemoryPolicy: Send {
     }
 }
 
+/// A borrowed policy is a policy: a session can drive `&mut policy` and
+/// leave the caller's value readable after the run.
+impl<P: MemoryPolicy + ?Sized> MemoryPolicy for &mut P {
+    fn meta(&self) -> PlannerMeta {
+        (**self).meta()
+    }
+
+    fn budget_bytes(&self) -> usize {
+        (**self).budget_bytes()
+    }
+
+    fn begin_iteration(&mut self, iter: usize, profile: &ModelProfile) -> Directive {
+        (**self).begin_iteration(iter, profile)
+    }
+
+    fn end_iteration(&mut self, obs: &IterationObservation) {
+        (**self).end_iteration(obs);
+    }
+
+    fn last_plan_overhead_ns(&self) -> u64 {
+        (**self).last_plan_overhead_ns()
+    }
+
+    fn predicted_peak_bytes(&self, profile: &ModelProfile) -> Option<usize> {
+        (**self).predicted_peak_bytes(profile)
+    }
+
+    fn plan_tier_stats(&self) -> Option<PlanTierStats> {
+        (**self).plan_tier_stats()
+    }
+}
+
 /// Snapshot of a runtime planner's tier ladder counters — how many
 /// iterations each rung served. The rungs are disjoint: an iteration is
 /// counted in exactly one of the four.

@@ -30,7 +30,6 @@ mod fold;
 mod live;
 mod policy;
 mod report;
-mod ring;
 
 pub use engine::{EngineCore, ReportMeta};
 pub use event::{ClockChannel, EventLog, ExecEvent, NullRecorder, Recorder, Tee};
@@ -38,7 +37,6 @@ pub use fold::{fold_events, EventFold};
 pub use live::LiveBlock;
 pub use policy::{policy_alloc, AllocFail, AllocSite, MaterializationPolicy, NoRelief};
 pub use report::{IterationReport, OomReport, RunSummary, TimeBreakdown};
-pub use ring::RingRecorder;
 
 /// The single alignment rule of the whole system, re-exported from the
 /// arena: round up to the 512 B granule, minimum one granule, saturating

@@ -6,7 +6,7 @@
 
 use mimose::core::{MimoseConfig, MimosePolicy, Phase};
 use mimose::data::presets;
-use mimose::exec::Trainer;
+use mimose::exec::Session;
 use mimose::models::builders::{bert_base, BertHead};
 use mimose::planner::MemoryPolicy;
 
@@ -25,15 +25,17 @@ fn main() {
     println!("budget: {} GiB\n", budget >> 30);
 
     let mut policy = MimosePolicy::new(MimoseConfig::with_budget(budget));
-    let mut trainer = Trainer::new(&model, &dataset, &mut policy, 42);
+    // The session borrows the policy, so its state stays readable after
+    // the run.
+    let reports = Session::builder(&model, &dataset)
+        .policy(&mut policy)
+        .seed(42)
+        .build()
+        .and_then(|mut session| session.run(40))
+        .expect("training run");
 
     println!("iter  seqlen  phase       peak(GiB)  ckpt  time(ms)");
-    for (i, report) in trainer
-        .run(40)
-        .expect("training run")
-        .into_iter()
-        .enumerate()
-    {
+    for (i, report) in reports.into_iter().enumerate() {
         let phase = if report.shuttle {
             "sheltered "
         } else {

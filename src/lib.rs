@@ -18,7 +18,7 @@
 //! * [`planner`] — plan types, policy trait, Sublinear/Checkmate/MONeT/DTR;
 //! * [`core`] — Mimose itself (collector, estimator, scheduler, cache);
 //! * [`exec`] — the iteration executor: [`Session`](exec::Session),
-//!   trainer, recovery ladder;
+//!   single-iteration builders, recovery ladder;
 //! * [`cluster`] — the multi-device, multi-job fleet scheduler.
 //!
 //! The experiment harness regenerating every table/figure lives in the
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use mimose_data::{presets, Dataset};
     pub use mimose_exec::{
         BlockIteration, DtrIteration, ExecError, RecoveryConfig, Session, SessionBuilder,
-        SessionCheckpoint, Trainer,
+        SessionCheckpoint,
     };
     pub use mimose_models::builders::{bert_base, resnet50_od, roberta_base, t5_base, BertHead};
     pub use mimose_models::{
