@@ -71,6 +71,68 @@ fn every_planner_runs_every_task() {
     );
 }
 
+/// Pins the fleet's output on both drivers byte for byte: one
+/// `setup digest` line per run, FNV-1a over the `ClusterReport` JSON
+/// followed by every job's iteration reports and admission reason (`Debug`
+/// bytes), against a fixture generated before jobs shared their models.
+/// The setups are the serving overload scenario at 400 jobs, the BSP
+/// mixed workload under each dispatch policy, and the cluster gate's
+/// lose-one-device-of-four survivability leg. A deliberate change to fleet
+/// behaviour updates the fixture by hand from the digests the failure
+/// message prints.
+#[test]
+fn fleet_runs_reproduce_pinned_digests() {
+    use mimose::cluster::ClusterOutcome;
+    use mimose::prelude::*;
+    let digest = |outcome: ClusterOutcome| {
+        let mut bytes = outcome.report.to_json().into_bytes();
+        for (row, detail) in outcome.report.jobs.iter().zip(&outcome.details) {
+            bytes.extend(format!("{:?}", detail.reports).bytes());
+            bytes.extend(format!("{:?}", row.admission_reason).bytes());
+        }
+        fnv1a(&bytes)
+    };
+    let mut runs: Vec<(String, ClusterBuilder)> = vec![(
+        "event-scaled-400".into(),
+        Cluster::builder()
+            .devices(DevicePool::v100(4))
+            .workload(Workload::scaled(2, 400))
+            .mode(Mode::EventDriven)
+            .arrivals(ArrivalProcess::poisson(100_000_000, 97))
+            .queue_limit(Some(24)),
+    )];
+    for schedule in [
+        SchedulePolicy::Fifo,
+        SchedulePolicy::ShortestPredicted,
+        SchedulePolicy::BestFitMemory,
+    ] {
+        runs.push((
+            format!("bsp-mixed-40-{}", schedule.name()),
+            Cluster::builder()
+                .devices(DevicePool::v100(2))
+                .workload(Workload::mixed(40))
+                .schedule(schedule),
+        ));
+    }
+    runs.push((
+        "bsp-lose-1-of-4".into(),
+        Cluster::builder()
+            .devices(DevicePool::v100(4))
+            .workload(Workload::mixed(4))
+            .faults(FleetFaultPlan::none(0).with_device_fault(1, DeviceFault::Lost { at_round: 2 }))
+            .record(true),
+    ));
+    let digests: String = runs
+        .into_iter()
+        .map(|(name, builder)| {
+            let outcome = builder.run().expect("pinned fleet setups are well-formed");
+            format!("{name} {:016x}\n", digest(outcome))
+        })
+        .collect();
+    let want = include_str!("fixtures/fleet_digests.txt");
+    assert_eq!(digests, want, "fleet runs diverged from the pinned digests");
+}
+
 #[test]
 fn mimose_honours_budget_on_all_nlp_tasks() {
     for task in Task::nlp() {
