@@ -27,8 +27,18 @@
 //! event's timestamp.
 
 use crate::diag::Diagnostic;
-use mimose_cluster::{ClusterOutcome, FleetEventKind, JobOutcome};
+use mimose_cluster::{ClusterOutcome, FleetEvent, FleetEventKind, JobOutcome};
 use mimose_runtime::{fold_events, RunSummary};
+
+/// One event-mode job's chain, indexed by [`lint_cluster`]'s chain check.
+#[derive(Clone, Copy, Default)]
+struct JobChain<'e> {
+    arrive: Option<&'e FleetEvent>,
+    dispatch: Option<&'e FleetEvent>,
+    complete: Option<&'e FleetEvent>,
+    /// Whether a complete, reject, shed or fail event settles the job.
+    terminal: bool,
+}
 
 /// Independent nearest-rank percentile: the smallest sample element with
 /// at least `p`% of the sample at or below it (0 for an empty sample).
@@ -758,13 +768,33 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
     // completion instants and terminal settlement all re-derive from the
     // timestamped chain. ---
     if event_mode {
-        for (j, row) in report.jobs.iter().enumerate() {
+        // Index each job's chain in one pass: its first arrive, dispatch
+        // and complete event, and whether any terminal event exists.
+        let mut chains = vec![JobChain::default(); report.jobs.len()];
+        for e in &report.events {
+            let Some(chain) = e.kind.job().and_then(|j| chains.get_mut(j)) else {
+                continue;
+            };
+            match &e.kind {
+                FleetEventKind::Arrive { .. } => {
+                    chain.arrive.get_or_insert(e);
+                }
+                FleetEventKind::Dispatch { .. } => {
+                    chain.dispatch.get_or_insert(e);
+                }
+                FleetEventKind::Complete { .. } => {
+                    chain.complete.get_or_insert(e);
+                    chain.terminal = true;
+                }
+                FleetEventKind::Reject { .. }
+                | FleetEventKind::Shed { .. }
+                | FleetEventKind::Fail { .. } => chain.terminal = true,
+                _ => {}
+            }
+        }
+        for (row, chain) in report.jobs.iter().zip(&chains) {
             let subject = row.name.clone();
-            let arrive = report
-                .events
-                .iter()
-                .find(|e| matches!(&e.kind, FleetEventKind::Arrive { job } if *job == j));
-            let Some(arrive) = arrive else {
+            let Some(arrive) = chain.arrive else {
                 diags.push(Diagnostic::error(
                     "cluster-arrival-missing",
                     subject,
@@ -782,11 +812,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
                     ),
                 ));
             }
-            let dispatch = report
-                .events
-                .iter()
-                .find(|e| matches!(&e.kind, FleetEventKind::Dispatch { job, .. } if *job == j));
-            if let Some(dispatch) = dispatch {
+            if let Some(dispatch) = chain.dispatch {
                 if dispatch.at_ns != arrive.at_ns + row.queue_wait_ns {
                     diags.push(Diagnostic::error(
                         "cluster-queue-wait-refold",
@@ -799,11 +825,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
                     ));
                 }
             }
-            let complete = report
-                .events
-                .iter()
-                .find(|e| matches!(&e.kind, FleetEventKind::Complete { job, .. } if *job == j));
-            if let Some(complete) = complete {
+            if let Some(complete) = chain.complete {
                 if Some(complete.at_ns) != row.finish_ns {
                     diags.push(Diagnostic::error(
                         "cluster-finish-echo",
@@ -815,14 +837,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
                     ));
                 }
             }
-            let has_terminal = report.events.iter().any(|e| match &e.kind {
-                FleetEventKind::Complete { job, .. }
-                | FleetEventKind::Reject { job, .. }
-                | FleetEventKind::Shed { job, .. }
-                | FleetEventKind::Fail { job, .. } => *job == j,
-                _ => false,
-            });
-            if !has_terminal {
+            if !chain.terminal {
                 diags.push(Diagnostic::error(
                     "cluster-terminal-event",
                     subject,

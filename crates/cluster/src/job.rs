@@ -1,7 +1,9 @@
-//! Job specifications: what a cluster runs. A [`JobSpec`] owns its model
-//! and dataset (sessions borrow them for the job's lifetime on a device)
-//! and names its policy as data ([`JobPolicy`]), so a whole workload is a
-//! plain value — cloneable, comparable, replayable.
+//! Job specifications: what a cluster runs. A [`JobSpec`] holds a shared
+//! handle to its model (jobs training one model share one graph, and
+//! cloning a job does not copy it), owns its dataset (sessions borrow
+//! both for the job's lifetime on a device) and names its policy as data
+//! ([`JobPolicy`]), so a whole workload is a plain value — cloneable,
+//! comparable, replayable.
 
 use mimose_core::{MimoseConfig, MimosePolicy};
 use mimose_data::Dataset;
@@ -145,7 +147,9 @@ pub struct JobSpec {
     /// Human-readable job name (unique within a workload).
     pub name: String,
     /// The model to train (post optimization-pipeline; carries its raw
-    /// graph and pass reports for admission evidence).
+    /// graph and pass reports for admission evidence). Shared: clones of
+    /// one [`OptimizedGraph`] are one graph, which the submission pass
+    /// profiles once per distinct input.
     pub model: OptimizedGraph,
     /// The dataset to stream.
     pub dataset: Dataset,

@@ -92,4 +92,4 @@ pub use report::{
 };
 pub use scheduler::{run_bsp, run_cluster, ClusterOutcome, ClusterSpec, JobDetail, SchedulePolicy};
 pub use spec::{Cluster, ClusterBuilder, Mode};
-pub use workload::{mixed_workload, v100_pool, DevicePool, Workload};
+pub use workload::{DevicePool, Workload};

@@ -13,16 +13,19 @@ use crate::report::{
     ClusterReport, DeviceReport, FleetStats, JobOutcome, JobPlacement, JobReport, SloRollup,
 };
 use crate::scheduler::{ClusterSpec, JobDetail, SchedulePolicy};
-use mimose_models::{ModelProfile, PassReport};
+use mimose_models::{ModelGraph, ModelInput, ModelProfile, PassReport};
 use mimose_planner::memory_model::min_feasible_budget;
 use mimose_planner::{CheckpointPlan, MemoryPolicy};
 use mimose_simgpu::DeviceProfile;
 use mimose_verify::{certify, SafetyCertificate, SizeBucket};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What the scheduler precomputes about a job at submission.
 pub(crate) struct Submitted {
-    /// Worst-case profile the static planners solved against.
-    pub worst: ModelProfile,
+    /// Worst-case profile the static planners solved against, shared by
+    /// every job training the same model on the same worst-case input.
+    pub worst: Arc<ModelProfile>,
     /// All-checkpoint floor over the worst case — the admit/demote/reject
     /// pivot.
     pub floor: usize,
@@ -38,6 +41,56 @@ pub(crate) struct Submitted {
     /// predicted peak, appended to demote/reject reasons so the report
     /// names the evidence behind the number it gated on.
     pub graph_evidence: Option<String>,
+}
+
+/// One shared model, by the identity of its storage, at one input. Jobs
+/// cloned from one [`OptimizedGraph`](mimose_models::OptimizedGraph)
+/// share a key; the pointer is never dereferenced.
+type ProfileKey = (*const ModelGraph, ModelInput);
+
+/// The worst-case facts of one (model, worst-case input) pair.
+struct WorstCase {
+    profile: Arc<ModelProfile>,
+    floor: usize,
+    certificate: Option<SafetyCertificate>,
+}
+
+impl WorstCase {
+    /// Profile `job`'s worst case, and certify its no-plan peak against
+    /// the largest usable capacity in the pool.
+    fn of(job: &JobSpec, max_usable: usize) -> Result<WorstCase, String> {
+        let profile = job.worst_profile().map_err(|e| e.to_string())?;
+        // The no-checkpoint peak over the worst profile soundly bounds
+        // every plan at every input size up to it, so a certificate that
+        // fits a device makes the admit unconditional for every job
+        // training this model on this dataset.
+        let certificate = certify(
+            std::slice::from_ref(&profile),
+            &CheckpointPlan::none(profile.blocks.len()),
+            SizeBucket::new(1, profile.input_size),
+            max_usable,
+        )
+        .ok();
+        Ok(WorstCase {
+            floor: min_feasible_budget(&profile),
+            profile: Arc::new(profile),
+            certificate,
+        })
+    }
+}
+
+/// A first batch's profiles over the optimized and the raw graph.
+struct FirstBatch {
+    optimized: Result<ModelProfile, String>,
+    raw: Option<ModelProfile>,
+}
+
+/// A policy's advisory peak for `profile`, falling back to the input's
+/// no-checkpoint peak when the policy offers no prediction.
+fn predict(policy: &dyn MemoryPolicy, profile: &ModelProfile) -> usize {
+    policy
+        .predicted_peak_bytes(profile)
+        .unwrap_or_else(|| profile.peak_no_checkpoint())
 }
 
 /// Headroom-discounted capacity admission gates against.
@@ -80,6 +133,11 @@ fn graph_evidence(
 /// costed on device 0), and settle jobs no device can ever hold. Jobs that
 /// settle here get their outcome written directly; everyone else gets a
 /// [`Submitted`] record.
+///
+/// Profiles are pure functions of (model, input), so the pass walks each
+/// distinct pair once: the worst case (with its floor and certificate) and
+/// each first batch are memoized for the length of this call, keyed by the
+/// shared model's identity. Policies carry state and are built per job.
 pub(crate) fn submit_jobs(
     spec: &ClusterSpec,
     ctl: &mut AdmissionController,
@@ -94,16 +152,22 @@ pub(crate) fn submit_jobs(
         .map(|d| usable_bytes(d, spec.headroom))
         .max()
         .unwrap_or(0);
+    let mut worst_cases: HashMap<ProfileKey, Result<WorstCase, String>> = HashMap::new();
+    let mut first_batches: HashMap<ProfileKey, FirstBatch> = HashMap::new();
     for (j, job) in spec.jobs.iter().enumerate() {
-        let worst = match job.worst_profile() {
-            Ok(p) => p,
+        let graph = std::ptr::from_ref(job.model.optimized());
+        let worst = match worst_cases
+            .entry((graph, job.dataset.worst_case()))
+            .or_insert_with(|| WorstCase::of(job, max_usable))
+        {
+            Ok(w) => w,
             Err(e) => {
-                outcomes[j] = Some(JobOutcome::Failed(e.to_string()));
+                outcomes[j] = Some(JobOutcome::Failed(e.clone()));
                 submitted.push(None);
                 continue;
             }
         };
-        let floor = min_feasible_budget(&worst);
+        let floor = worst.floor;
         if floor > max_usable {
             ctl.stats.rejected += 1;
             outcomes[j] = Some(JobOutcome::Rejected);
@@ -114,16 +178,20 @@ pub(crate) fn submit_jobs(
             submitted.push(None);
             continue;
         }
-        let policy = job.policy.build(&worst, &spec.devices[0]);
+        let policy = job.policy.build(&worst.profile, &spec.devices[0]);
         // Predict the first iteration's peak: that is the iteration the
         // dispatch decision gates.
-        let first = spec.jobs[j].dataset.stream(job.seed).next_batch();
-        let predicted_peak = match spec.jobs[j].model.profile(&first) {
-            Ok(p) => policy
-                .predicted_peak_bytes(&p)
-                .unwrap_or_else(|| p.peak_no_checkpoint()),
+        let first = job.dataset.stream(job.seed).next_batch();
+        let batch = first_batches
+            .entry((graph, first))
+            .or_insert_with(|| FirstBatch {
+                optimized: job.model.profile(&first).map_err(|e| e.to_string()),
+                raw: job.model.raw_profile(&first).ok(),
+            });
+        let predicted_peak = match &batch.optimized {
+            Ok(p) => predict(&*policy, p),
             Err(e) => {
-                outcomes[j] = Some(JobOutcome::Failed(e.to_string()));
+                outcomes[j] = Some(JobOutcome::Failed(e.clone()));
                 submitted.push(None);
                 continue;
             }
@@ -131,31 +199,15 @@ pub(crate) fn submit_jobs(
         // Graph-pass evidence: run the same prediction over the raw
         // (pre-pass) graph. A strictly lower optimized prediction is the
         // byte credit the admission report attributes to the pipeline.
-        let graph_raw_peak = spec.jobs[j].model.raw_profile(&first).ok().map(|p| {
-            policy
-                .predicted_peak_bytes(&p)
-                .unwrap_or_else(|| p.peak_no_checkpoint())
-        });
+        let graph_raw_peak = batch.raw.as_ref().map(|p| predict(&*policy, p));
         details[j].graph_raw_peak_bytes = graph_raw_peak;
         details[j].graph_opt_peak_bytes = Some(predicted_peak);
-        let graph_evidence =
-            graph_evidence(spec.jobs[j].model.reports(), graph_raw_peak, predicted_peak);
-        // Statically verify the job where possible: the no-checkpoint peak
-        // over the worst profile soundly bounds every plan at every input
-        // size up to it, so a certificate that fits a device makes the
-        // admit unconditional for this job.
-        let certificate = certify(
-            std::slice::from_ref(&worst),
-            &CheckpointPlan::none(worst.blocks.len()),
-            SizeBucket::new(1, worst.input_size),
-            max_usable,
-        )
-        .ok();
+        let graph_evidence = graph_evidence(job.model.reports(), graph_raw_peak, predicted_peak);
         submitted.push(Some(Submitted {
-            worst,
+            worst: Arc::clone(&worst.profile),
             floor,
             predicted_peak,
-            certificate,
+            certificate: worst.certificate,
             policy: Some(policy),
             graph_evidence,
         }));

@@ -98,16 +98,18 @@ impl Workload {
     /// datasets, under a spread of policies (Mimose, static planners,
     /// DTR, unconstrained baseline) and budgets. `iters` sets each job's
     /// length; seeds are fixed so the workload is one deterministic
-    /// value.
+    /// value. Its six distinct models are built once each; jobs training
+    /// the same model share it.
     #[must_use]
     pub fn mixed(iters: usize) -> Self {
-        let cls = || bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let bert_cls2 = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let resnet = resnet50_od().optimize();
         let seed = |i: u64| Self::BASE_SEED + i;
         Workload {
             jobs: vec![
                 JobSpec::new(
                     "bert-qqp-mimose",
-                    cls(),
+                    bert_cls2.clone(),
                     presets::glue_qqp(),
                     JobPolicy::Mimose {
                         budget: Self::BERT_QQP_MIMOSE_BUDGET,
@@ -137,7 +139,7 @@ impl Workload {
                 ),
                 JobSpec::new(
                     "resnet-coco-dtr",
-                    resnet50_od().optimize(),
+                    resnet.clone(),
                     presets::coco(Self::RESNET_DTR_BATCH),
                     JobPolicy::Planner(PolicyKind::Dtr, Self::RESNET_COCO_DTR_BUDGET),
                     iters,
@@ -145,7 +147,7 @@ impl Workload {
                 ),
                 JobSpec::new(
                     "bert-qqp-baseline",
-                    cls(),
+                    bert_cls2,
                     presets::glue_qqp(),
                     JobPolicy::Planner(PolicyKind::Baseline, 0),
                     iters,
@@ -161,7 +163,7 @@ impl Workload {
                 ),
                 JobSpec::new(
                     "resnet-coco-mimose",
-                    resnet50_od().optimize(),
+                    resnet,
                     presets::coco(Self::RESNET_MIMOSE_BATCH),
                     JobPolicy::Mimose {
                         budget: Self::RESNET_COCO_MIMOSE_BUDGET,
@@ -185,24 +187,22 @@ impl Workload {
     /// `n_jobs` jobs cycling through the mixed workload: copy `k` of job
     /// `i` is renamed `<name>-<k>` and reseeded with
     /// [`Self::SCALED_SEED_STRIDE`]` * k`, so an overload scenario's 200
-    /// jobs are 200 distinct deterministic jobs, not 25 repeats of 8.
+    /// jobs are 200 distinct deterministic jobs, not 25 repeats of 8. The
+    /// copies share the mixed workload's six models.
     #[must_use]
     pub fn scaled(iters: usize, n_jobs: usize) -> Self {
-        let mut jobs = Vec::with_capacity(n_jobs);
-        let mut cycle = 0u64;
-        while jobs.len() < n_jobs {
-            for mut job in Self::mixed(iters).jobs {
-                if jobs.len() >= n_jobs {
-                    break;
-                }
+        let mixed = Self::mixed(iters).jobs;
+        let jobs = (0..n_jobs)
+            .map(|n| {
+                let mut job = mixed[n % mixed.len()].clone();
+                let cycle = (n / mixed.len()) as u64;
                 if cycle > 0 {
                     job.name = format!("{}-{cycle}", job.name);
                     job.seed += Self::SCALED_SEED_STRIDE * cycle;
                 }
-                jobs.push(job);
-            }
-            cycle += 1;
-        }
+                job
+            })
+            .collect();
         Workload { jobs }
     }
 
@@ -231,25 +231,10 @@ impl Workload {
     }
 }
 
-/// Legacy helper, kept so pre-builder call sites keep compiling. New code
-/// says [`DevicePool::v100`].
-#[doc(hidden)]
-#[must_use]
-pub fn v100_pool(n: usize) -> Vec<DeviceProfile> {
-    DevicePool::v100(n).into_devices()
-}
-
-/// Legacy helper, kept so pre-builder call sites keep compiling. New code
-/// says [`Workload::mixed`].
-#[doc(hidden)]
-#[must_use]
-pub fn mixed_workload(iters: usize) -> Vec<JobSpec> {
-    Workload::mixed(iters).into_jobs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimose_models::ModelGraph;
 
     #[test]
     fn workload_is_well_formed() {
@@ -268,17 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_wrappers_match_the_typed_constructors() {
-        let a = mixed_workload(3);
-        let b = Workload::mixed(3).into_jobs();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.seed, y.seed);
-            assert_eq!(x.priority, y.priority);
-            assert_eq!(x.iters, y.iters);
-        }
-        assert_eq!(v100_pool(3).len(), DevicePool::v100(3).len());
+    fn scaled_jobs_share_the_six_mixed_models() {
+        let jobs = Workload::scaled(2, 2000).into_jobs();
+        let mut graphs: Vec<*const ModelGraph> = jobs
+            .iter()
+            .map(|j| std::ptr::from_ref(j.model.optimized()))
+            .collect();
+        graphs.sort_unstable();
+        graphs.dedup();
+        assert_eq!(graphs.len(), 6);
     }
 
     #[test]

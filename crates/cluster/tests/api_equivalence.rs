@@ -1,6 +1,6 @@
 //! Migration-safety properties for the builder API redesign.
 //!
-//! 1. The legacy surface (`run_cluster` + `mixed_workload` + `v100_pool`)
+//! 1. The hand-built spec surface (`run_cluster` over `ClusterSpec::new`)
 //!    and the builder (`Cluster::builder()...run()`) are the *same*
 //!    scheduler: their reports are byte-identical on the canonical
 //!    workload, across schedule policies and fault plans.
@@ -12,9 +12,18 @@
 
 use mimose_chaos::{DeviceFault, FleetFaultPlan};
 use mimose_cluster::{
-    mixed_workload, run_cluster, v100_pool, ArrivalProcess, Cluster, ClusterSpec, DevicePool,
-    JobOutcome, Mode, SchedulePolicy, Workload,
+    run_cluster, ArrivalProcess, Cluster, ClusterSpec, DevicePool, JobOutcome, Mode,
+    SchedulePolicy, Workload,
 };
+use mimose_simgpu::DeviceProfile;
+
+/// The canonical workload on `n` V100s, as a hand-built spec.
+fn hand_built(iters: usize, n: usize) -> ClusterSpec {
+    ClusterSpec::new(
+        Workload::mixed(iters).into_jobs(),
+        vec![DeviceProfile::v100(); n],
+    )
+}
 
 #[test]
 fn builder_and_legacy_wrapper_are_byte_identical() {
@@ -23,8 +32,7 @@ fn builder_and_legacy_wrapper_are_byte_identical() {
         SchedulePolicy::ShortestPredicted,
         SchedulePolicy::BestFitMemory,
     ] {
-        let legacy =
-            run_cluster(&ClusterSpec::new(mixed_workload(2), v100_pool(2)).schedule(schedule));
+        let legacy = run_cluster(&hand_built(2, 2).schedule(schedule));
         let built = Cluster::builder()
             .devices(DevicePool::v100(2))
             .workload(Workload::mixed(2))
@@ -43,11 +51,7 @@ fn builder_and_legacy_wrapper_are_byte_identical() {
 #[test]
 fn builder_and_legacy_wrapper_agree_under_faults() {
     let faults = || FleetFaultPlan::none(0).with_device_fault(1, DeviceFault::Lost { at_round: 2 });
-    let legacy = run_cluster(
-        &ClusterSpec::new(mixed_workload(4), v100_pool(4))
-            .faults(faults())
-            .record(true),
-    );
+    let legacy = run_cluster(&hand_built(4, 4).faults(faults()).record(true));
     let built = Cluster::builder()
         .devices(DevicePool::v100(4))
         .workload(Workload::mixed(4))

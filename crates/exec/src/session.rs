@@ -29,11 +29,13 @@
 //! threads — exactly what the cluster scheduler needs to interleave many
 //! jobs over a device pool.
 //!
-//! Each step profiles the batch, consults the policy, validates the plan's
-//! shape, and hands the iteration to one engine: a [`BlockIteration`] run
-//! through the recovery driver, or a [`DtrIteration`] for the reactive
-//! tensor engine. Recording (`.record(true)`) tees the same run into an
-//! [`EventLog`] and changes nothing else.
+//! Each step profiles the batch (or takes the profile a
+//! [`Session::predicted_peak_bytes`] call kept for it), consults the
+//! policy, validates the plan's shape, and hands the iteration to one
+//! engine: a [`BlockIteration`] run through the recovery driver, or a
+//! [`DtrIteration`] for the reactive tensor engine. Recording
+//! (`.record(true)`) tees the same run into an [`EventLog`] and changes
+//! nothing else.
 
 use crate::block_engine::BlockMode;
 use crate::recovery::{drive, RecoveryConfig};
@@ -255,6 +257,7 @@ impl<'a> SessionBuilder<'a> {
             record: self.record,
             stream,
             pending: None,
+            pending_profile: None,
             next_iter: cursor,
             epoch_len: self.dataset.iters_per_epoch(),
             summary,
@@ -278,6 +281,11 @@ pub struct Session<'a> {
     stream: BatchStream<'a>,
     /// Next batch, drawn ahead of execution by [`Self::peek_input`].
     pending: Option<ModelInput>,
+    /// Profile of the `pending` batch, kept by
+    /// [`Self::predicted_peak_bytes`] so the [`Self::step`] that runs the
+    /// batch does not walk the graph again. Only ever set while `pending`
+    /// is, and taken with it.
+    pending_profile: Option<ModelProfile>,
     next_iter: usize,
     epoch_len: usize,
     summary: RunSummary,
@@ -397,13 +405,20 @@ impl<'a> Session<'a> {
     /// The policy's advisory peak-memory prediction for the next
     /// iteration — the admission-control signal the cluster scheduler
     /// consults before dispatch. Falls back to the input's no-checkpoint
-    /// peak when the policy offers no prediction.
+    /// peak when the policy offers no prediction. The batch's profile is
+    /// kept for the [`Self::step`] that runs it, so predicting and then
+    /// stepping walks the graph once.
     pub fn predicted_peak_bytes(&mut self) -> Result<usize, ExecError> {
-        let profile = self.peek_profile()?;
-        Ok(self
+        let profile = match self.pending_profile.take() {
+            Some(profile) => profile,
+            None => self.peek_profile()?,
+        };
+        let peak = self
             .policy
             .predicted_peak_bytes(&profile)
-            .unwrap_or_else(|| profile.peak_no_checkpoint()))
+            .unwrap_or_else(|| profile.peak_no_checkpoint());
+        self.pending_profile = Some(profile);
+        Ok(peak)
     }
 
     /// Run one iteration off the stream.
@@ -414,11 +429,11 @@ impl<'a> Session<'a> {
                 len: self.epoch_len,
             });
         }
-        let input = match self.pending.take() {
-            Some(i) => i,
-            None => self.stream.next_batch(),
+        let (input, profile) = match self.pending.take() {
+            Some(i) => (i, self.pending_profile.take()),
+            None => (self.stream.next_batch(), None),
         };
-        let (report, record) = self.execute(self.next_iter, &input, self.record)?;
+        let (report, record) = self.execute(self.next_iter, &input, profile, self.record)?;
         if let Some(rec) = record {
             self.records.push(rec);
         }
@@ -436,22 +451,28 @@ impl<'a> Session<'a> {
         iter: usize,
         input: &ModelInput,
     ) -> Result<IterationReport, ExecError> {
-        self.execute(iter, input, false).map(|(report, _)| report)
+        self.execute(iter, input, None, false)
+            .map(|(report, _)| report)
     }
 
-    /// Run one full iteration — profile, policy consult, plan-shape
-    /// validation, engine run, policy feedback — returning the report and,
-    /// when `record` is set, the iteration's event stream.
+    /// Run one full iteration — profile (unless `profile` already holds
+    /// `input`'s), policy consult, plan-shape validation, engine run,
+    /// policy feedback — returning the report and, when `record` is set,
+    /// the iteration's event stream.
     fn execute(
         &mut self,
         iter: usize,
         input: &ModelInput,
+        profile: Option<ModelProfile>,
         record: bool,
     ) -> Result<(IterationReport, Option<IterationRecord>), ExecError> {
-        let profile = self
-            .model
-            .profile(input)
-            .map_err(|source| ExecError::Profile { iter, source })?;
+        let profile = match profile {
+            Some(profile) => profile,
+            None => self
+                .model
+                .profile(input)
+                .map_err(|source| ExecError::Profile { iter, source })?,
+        };
         let directive = self.policy.begin_iteration(iter, &profile);
         let mode = match &directive {
             Directive::RunPlan(p) => Some(BlockMode::Plan(p)),
@@ -901,6 +922,54 @@ mod tests {
         for (r, input) in plain_reports.iter().zip(&peeked) {
             assert_eq!(r.input, *input);
         }
+
+        // The profile a prediction keeps must not outlive its batch: park
+        // and resume between every prediction and its step…
+        let mut parked = Session::builder(&model, &ds)
+            .policy(BaselinePolicy::new())
+            .seed(11)
+            .build()
+            .unwrap();
+        let mut parked_reports = Vec::new();
+        for _ in 0..10 {
+            let _ = parked.predicted_peak_bytes().unwrap();
+            let checkpoint = parked.checkpoint();
+            parked = Session::builder(&model, &ds)
+                .resume(checkpoint)
+                .build()
+                .unwrap();
+            parked_reports.push(parked.step().unwrap());
+        }
+        assert_eq!(
+            format!("{plain_reports:?}"),
+            format!("{parked_reports:?}"),
+            "a prediction before a checkpoint must not leak into the resumed step"
+        );
+
+        // …and run an unrelated input between them.
+        let other = ModelInput::tokens(ds.batch_size(), 384);
+        let other_report = Session::builder(&model, &ds)
+            .policy(BaselinePolicy::new())
+            .build()
+            .and_then(|mut s| s.run_input(0, &other))
+            .unwrap();
+        let mut interleaved = Session::builder(&model, &ds)
+            .policy(BaselinePolicy::new())
+            .seed(11)
+            .build()
+            .unwrap();
+        let mut interleaved_reports = Vec::new();
+        for _ in 0..10 {
+            let _ = interleaved.predicted_peak_bytes().unwrap();
+            let report = interleaved.run_input(0, &other).unwrap();
+            assert_eq!(format!("{report:?}"), format!("{other_report:?}"));
+            interleaved_reports.push(interleaved.step().unwrap());
+        }
+        assert_eq!(
+            format!("{plain_reports:?}"),
+            format!("{interleaved_reports:?}"),
+            "run_input between a prediction and its step must not swap profiles"
+        );
     }
 
     #[test]

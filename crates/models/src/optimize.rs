@@ -38,6 +38,7 @@ use crate::profile::profile_with_stash;
 use crate::{Block, ModelError, ModelGraph, ModelInput, ModelProfile, NodeInput};
 use mimose_ops::BackwardNeeds;
 use mimose_tensor::aligned_bytes;
+use std::sync::Arc;
 
 /// How a node's forward output is stashed for the backward pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -517,10 +518,12 @@ impl PassPipeline {
             .map(|p| p.apply(&mut g, &mut ann))
             .collect();
         OptimizedGraph {
-            raw,
-            graph: g,
-            annotations: ann,
-            reports,
+            parts: Arc::new(Parts {
+                raw,
+                graph: g,
+                annotations: ann,
+                reports,
+            }),
         }
     }
 }
@@ -532,18 +535,36 @@ impl PassPipeline {
 /// cluster scheduler) accepts. It dereferences to the optimized
 /// [`ModelGraph`] for structural access; [`OptimizedGraph::profile`] shadows
 /// [`ModelGraph::profile`] with the annotation-aware walk.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The value is immutable, and cloning it is cheap: every clone shares one
+/// raw graph, optimized graph, annotation table and report list, so a
+/// fleet of jobs training the same model holds that model once. Equality
+/// is structural (two separately built graphs of the same model compare
+/// equal); clones of one value compare equal without a walk.
+#[derive(Debug, Clone)]
 pub struct OptimizedGraph {
+    parts: Arc<Parts>,
+}
+
+/// What an [`OptimizedGraph`] shares between its clones.
+#[derive(Debug, PartialEq)]
+struct Parts {
     raw: ModelGraph,
     graph: ModelGraph,
     annotations: Vec<Vec<NodeAnnotation>>,
     reports: Vec<PassReport>,
 }
 
+impl PartialEq for OptimizedGraph {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.parts, &other.parts) || self.parts == other.parts
+    }
+}
+
 impl std::ops::Deref for OptimizedGraph {
     type Target = ModelGraph;
     fn deref(&self) -> &ModelGraph {
-        &self.graph
+        &self.parts.graph
     }
 }
 
@@ -558,35 +579,37 @@ impl OptimizedGraph {
             .map(|(_, b)| vec![NodeAnnotation::DEFAULT; b.nodes.len()])
             .collect();
         OptimizedGraph {
-            raw: graph.clone(),
-            graph,
-            annotations,
-            reports: Vec::new(),
+            parts: Arc::new(Parts {
+                raw: graph.clone(),
+                graph,
+                annotations,
+                reports: Vec::new(),
+            }),
         }
     }
 
     /// The graph as built, before any pass ran.
     #[must_use]
     pub fn raw(&self) -> &ModelGraph {
-        &self.raw
+        &self.parts.raw
     }
 
     /// The transformed graph (what [`Deref`](std::ops::Deref) exposes).
     #[must_use]
     pub fn optimized(&self) -> &ModelGraph {
-        &self.graph
+        &self.parts.graph
     }
 
     /// Per-node annotations, indexed `[global_block][node]`.
     #[must_use]
     pub fn annotations(&self) -> &[Vec<NodeAnnotation>] {
-        &self.annotations
+        &self.parts.annotations
     }
 
     /// One report per pass, in pipeline order.
     #[must_use]
     pub fn reports(&self) -> &[PassReport] {
-        &self.reports
+        &self.parts.reports
     }
 
     /// Annotation-aware profile: like [`ModelGraph::profile`] but elided
@@ -598,7 +621,7 @@ impl OptimizedGraph {
     ///
     /// Propagates any [`ModelError`] from shape evaluation.
     pub fn profile(&self, input: &ModelInput) -> Result<ModelProfile, ModelError> {
-        profile_with_stash(&self.graph, input, Some(&self.annotations))
+        profile_with_stash(&self.parts.graph, input, Some(&self.parts.annotations))
     }
 
     /// Profile of the raw (pre-pass) graph — the "before" side of evidence.
@@ -607,7 +630,7 @@ impl OptimizedGraph {
     ///
     /// Propagates any [`ModelError`] from shape evaluation.
     pub fn raw_profile(&self, input: &ModelInput) -> Result<ModelProfile, ModelError> {
-        self.raw.profile(input)
+        self.parts.raw.profile(input)
     }
 
     /// Measure the before/after delta for one concrete input, attributing
@@ -622,7 +645,7 @@ impl OptimizedGraph {
     /// Never in practice: a `Context` operand with no stage context is
     /// rejected by `eval_block` before the attribution walk reads it.
     pub fn delta(&self, input: &ModelInput) -> Result<GraphDelta, ModelError> {
-        let raw = self.raw.profile(input)?;
+        let raw = self.parts.raw.profile(input)?;
         let opt = self.profile(input)?;
         let per_block = raw
             .blocks
@@ -639,8 +662,9 @@ impl OptimizedGraph {
             .collect();
 
         // Attribute annotated savings pass by pass on the optimized graph.
-        let full = profile_with_stash(&self.graph, input, None)?;
+        let full = profile_with_stash(&self.parts.graph, input, None)?;
         let mut per_pass: Vec<PassDelta> = self
+            .parts
             .reports
             .iter()
             .map(|r| PassDelta {
@@ -652,7 +676,7 @@ impl OptimizedGraph {
         let mut cur = input.meta();
         let mut context = None;
         let mut bi = 0usize;
-        for stage in &self.graph.stages {
+        for stage in &self.parts.graph.stages {
             for block in &stage.blocks {
                 let outs = ModelGraph::eval_block(block, cur, context)?;
                 let last = outs.len() - 1;
@@ -660,7 +684,7 @@ impl OptimizedGraph {
                     let NodeAnnotation {
                         stash,
                         by: Some(pass),
-                    } = self.annotations[bi][ni]
+                    } = self.parts.annotations[bi][ni]
                     else {
                         continue;
                     };
@@ -1059,6 +1083,19 @@ mod tests {
         assert_eq!(opt.name, "bert-base");
         assert!(opt.num_blocks() > 10);
         assert_eq!(opt.param_count(), opt.raw().param_count());
+    }
+
+    #[test]
+    fn clones_share_one_graph_and_equality_is_structural() {
+        let opt = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let clone = opt.clone();
+        assert!(std::ptr::eq(opt.optimized(), clone.optimized()));
+        assert!(std::ptr::eq(opt.raw(), clone.raw()));
+        assert_eq!(opt, clone);
+        let rebuilt = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        assert!(!std::ptr::eq(opt.optimized(), rebuilt.optimized()));
+        assert_eq!(opt, rebuilt);
+        assert_ne!(opt, bert_base(BertHead::QuestionAnswering).optimize());
     }
 
     #[test]
