@@ -123,8 +123,10 @@ impl FaultSpec {
 }
 
 /// A device-lifecycle fault in a fleet plan, indexed by scheduler round
-/// (the cluster's virtual-time unit): a device can go down transiently,
-/// disappear permanently, or keep running with collapsed capacity.
+/// (the BSP clock's unit; [`FleetFaultPlan::on_round_clock`] turns round
+/// `r` into instant `r` for the `*_at_ns` lookups): a device can go down
+/// transiently, disappear permanently, or keep running with collapsed
+/// capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeviceFault {
     /// The device is unreachable for `duration` rounds starting at
@@ -156,17 +158,25 @@ pub enum DeviceFault {
 }
 
 impl DeviceFault {
-    /// The round boundaries at which this fault changes a device's state
-    /// (start, and end where one exists).
-    fn boundaries(&self) -> (usize, Option<usize>) {
-        match *self {
-            DeviceFault::Down { at_round, duration } => {
-                (at_round, Some(at_round.saturating_add(duration)))
-            }
-            DeviceFault::Lost { at_round } => (at_round, None),
+    /// This fault on the round clock, where round `r` is instant `r`.
+    fn on_round_clock(self) -> TimedDeviceFault {
+        match self {
+            DeviceFault::Down { at_round, duration } => TimedDeviceFault::Down {
+                at_ns: at_round as u64,
+                duration_ns: duration as u64,
+            },
+            DeviceFault::Lost { at_round } => TimedDeviceFault::Lost {
+                at_ns: at_round as u64,
+            },
             DeviceFault::CapacityCollapse {
-                at_round, duration, ..
-            } => (at_round, Some(at_round.saturating_add(duration))),
+                at_round,
+                duration,
+                factor,
+            } => TimedDeviceFault::CapacityCollapse {
+                at_ns: at_round as u64,
+                duration_ns: duration as u64,
+                factor,
+            },
         }
     }
 }
@@ -219,8 +229,8 @@ impl TimedDeviceFault {
     }
 }
 
-/// A device's availability at one scheduler round, derived from the plan's
-/// [`DeviceFault`]s.
+/// A device's availability at one instant, derived from the plan's
+/// lifecycle faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceCondition {
     /// Reachable; jobs may dispatch and step.
@@ -308,78 +318,27 @@ impl FleetFaultPlan {
         self.base.is_noop() && self.device_faults.is_empty() && self.timed_faults.is_empty()
     }
 
-    /// The availability of `device` at scheduler round `round`. `Lost`
-    /// dominates `Down`; with no matching fault the device is `Up`.
+    /// The plan on the round clock: every round-indexed [`DeviceFault`]
+    /// becomes the timed fault at instant `round`, so the `*_at_ns`
+    /// lookups answer round queries. The base spec is kept and the plan's
+    /// own timed faults are dropped — they belong to the nanosecond clock.
     #[must_use]
-    pub fn device_condition(&self, device: usize, round: usize) -> DeviceCondition {
-        let mut cond = DeviceCondition::Up;
-        for (d, fault) in &self.device_faults {
-            if *d != device {
-                continue;
-            }
-            match *fault {
-                DeviceFault::Lost { at_round } if round >= at_round => {
-                    return DeviceCondition::Lost;
-                }
-                DeviceFault::Down { at_round, duration }
-                    if round >= at_round && round < at_round.saturating_add(duration) =>
-                {
-                    cond = DeviceCondition::Down;
-                }
-                _ => {}
-            }
+    pub fn on_round_clock(&self) -> FleetFaultPlan {
+        FleetFaultPlan {
+            base: self.base.clone(),
+            device_faults: Vec::new(),
+            timed_faults: self
+                .device_faults
+                .iter()
+                .map(|&(d, f)| (d, f.on_round_clock()))
+                .collect(),
         }
-        cond
-    }
-
-    /// True when `device` is permanently gone by round `round` (it can
-    /// never host a job again).
-    #[must_use]
-    pub fn is_lost(&self, device: usize, round: usize) -> bool {
-        self.device_condition(device, round) == DeviceCondition::Lost
-    }
-
-    /// The admission-capacity multiplier for `device` at `round`: the
-    /// product of every active [`DeviceFault::CapacityCollapse`] window.
-    #[must_use]
-    pub fn capacity_factor(&self, device: usize, round: usize) -> f64 {
-        let mut f = 1.0;
-        for (d, fault) in &self.device_faults {
-            if let DeviceFault::CapacityCollapse {
-                at_round,
-                duration,
-                factor,
-            } = *fault
-            {
-                if *d == device && round >= at_round && round < at_round.saturating_add(duration) {
-                    f *= factor;
-                }
-            }
-        }
-        f
-    }
-
-    /// The earliest round strictly after `round` at which any device's
-    /// lifecycle state changes (a fault starting or ending). `None` when
-    /// every declared boundary is behind `round` — the fleet's availability
-    /// is static from here on. Lets a scheduler with nothing runnable jump
-    /// its virtual round clock instead of spinning.
-    #[must_use]
-    pub fn next_transition_after(&self, round: usize) -> Option<usize> {
-        self.device_faults
-            .iter()
-            .flat_map(|(_, f)| {
-                let (start, end) = f.boundaries();
-                [Some(start), end].into_iter().flatten()
-            })
-            .filter(|&r| r > round)
-            .min()
     }
 
     /// The availability of `device` at virtual time `at_ns`, derived from
-    /// the plan's [`TimedDeviceFault`]s (round-indexed faults are ignored
-    /// here — they belong to the BSP clock). `Lost` dominates `Down`; with
-    /// no matching fault the device is `Up`.
+    /// the plan's [`TimedDeviceFault`]s (round-indexed faults are read
+    /// through [`Self::on_round_clock`]). `Lost` dominates `Down`; with no
+    /// matching fault the device is `Up`.
     #[must_use]
     pub fn device_condition_at_ns(&self, device: usize, at_ns: u64) -> DeviceCondition {
         let mut cond = DeviceCondition::Up;
@@ -431,9 +390,10 @@ impl FleetFaultPlan {
     }
 
     /// The earliest virtual time strictly after `at_ns` at which any
-    /// device's timed lifecycle state changes. `None` when every declared
-    /// boundary is behind `at_ns` — availability is static from here on.
-    /// The event-driven scheduler seeds its queue with these boundaries.
+    /// device's timed lifecycle state changes (a fault starting or
+    /// ending). `None` when every declared boundary is behind `at_ns` —
+    /// availability is static from here on. The fleet driver chains its
+    /// fault-transition events through these boundaries.
     #[must_use]
     pub fn next_transition_after_ns(&self, at_ns: u64) -> Option<u64> {
         self.timed_faults
@@ -716,25 +676,27 @@ mod tests {
         assert!(!plan.is_noop());
         // Base spec stays a no-op, so no per-iteration injector is built.
         assert!(plan.injector_for(0).is_none());
+        let rounds = plan.on_round_clock();
+        assert!(rounds.injector_for(0).is_none());
 
         // Down window: [3, 5).
-        assert_eq!(plan.device_condition(1, 2), DeviceCondition::Up);
-        assert_eq!(plan.device_condition(1, 3), DeviceCondition::Down);
-        assert_eq!(plan.device_condition(1, 4), DeviceCondition::Down);
-        assert_eq!(plan.device_condition(1, 5), DeviceCondition::Up);
+        assert_eq!(rounds.device_condition_at_ns(1, 2), DeviceCondition::Up);
+        assert_eq!(rounds.device_condition_at_ns(1, 3), DeviceCondition::Down);
+        assert_eq!(rounds.device_condition_at_ns(1, 4), DeviceCondition::Down);
+        assert_eq!(rounds.device_condition_at_ns(1, 5), DeviceCondition::Up);
         // Lost is monotone.
-        assert_eq!(plan.device_condition(2, 4), DeviceCondition::Up);
-        assert!(plan.is_lost(2, 5));
-        assert!(plan.is_lost(2, 5000));
+        assert_eq!(rounds.device_condition_at_ns(2, 4), DeviceCondition::Up);
+        assert!(rounds.is_lost_at_ns(2, 5));
+        assert!(rounds.is_lost_at_ns(2, 5000));
         // Collapse affects capacity, not availability.
-        assert_eq!(plan.device_condition(0, 3), DeviceCondition::Up);
-        assert_eq!(plan.capacity_factor(0, 1), 1.0);
-        assert_eq!(plan.capacity_factor(0, 2), 0.5);
-        assert_eq!(plan.capacity_factor(0, 4), 0.5);
-        assert_eq!(plan.capacity_factor(0, 5), 1.0);
+        assert_eq!(rounds.device_condition_at_ns(0, 3), DeviceCondition::Up);
+        assert_eq!(rounds.capacity_factor_at_ns(0, 1), 1.0);
+        assert_eq!(rounds.capacity_factor_at_ns(0, 2), 0.5);
+        assert_eq!(rounds.capacity_factor_at_ns(0, 4), 0.5);
+        assert_eq!(rounds.capacity_factor_at_ns(0, 5), 1.0);
         // Untouched device: always Up at nominal capacity.
-        assert_eq!(plan.device_condition(3, 100), DeviceCondition::Up);
-        assert_eq!(plan.capacity_factor(3, 100), 1.0);
+        assert_eq!(rounds.device_condition_at_ns(3, 100), DeviceCondition::Up);
+        assert_eq!(rounds.capacity_factor_at_ns(3, 100), 1.0);
     }
 
     #[test]
@@ -747,10 +709,11 @@ mod tests {
                     duration: 10,
                 },
             )
-            .with_device_fault(0, DeviceFault::Lost { at_round: 4 });
-        assert_eq!(plan.device_condition(0, 2), DeviceCondition::Down);
-        assert_eq!(plan.device_condition(0, 4), DeviceCondition::Lost);
-        assert_eq!(plan.device_condition(0, 20), DeviceCondition::Lost);
+            .with_device_fault(0, DeviceFault::Lost { at_round: 4 })
+            .on_round_clock();
+        assert_eq!(plan.device_condition_at_ns(0, 2), DeviceCondition::Down);
+        assert_eq!(plan.device_condition_at_ns(0, 4), DeviceCondition::Lost);
+        assert_eq!(plan.device_condition_at_ns(0, 20), DeviceCondition::Lost);
     }
 
     #[test]
@@ -763,12 +726,18 @@ mod tests {
                     duration: 2,
                 },
             )
-            .with_device_fault(2, DeviceFault::Lost { at_round: 8 });
-        assert_eq!(plan.next_transition_after(0), Some(3));
-        assert_eq!(plan.next_transition_after(3), Some(5));
-        assert_eq!(plan.next_transition_after(5), Some(8));
-        assert_eq!(plan.next_transition_after(8), None);
-        assert_eq!(FleetFaultPlan::none(0).next_transition_after(0), None);
+            .with_device_fault(2, DeviceFault::Lost { at_round: 8 })
+            .on_round_clock();
+        assert_eq!(plan.next_transition_after_ns(0), Some(3));
+        assert_eq!(plan.next_transition_after_ns(3), Some(5));
+        assert_eq!(plan.next_transition_after_ns(5), Some(8));
+        assert_eq!(plan.next_transition_after_ns(8), None);
+        assert_eq!(
+            FleetFaultPlan::none(0)
+                .on_round_clock()
+                .next_transition_after_ns(0),
+            None
+        );
     }
 
     #[test]
@@ -802,9 +771,10 @@ mod tests {
         assert_eq!(plan.device_condition_at_ns(2, 200), DeviceCondition::Up);
         assert!((plan.capacity_factor_at_ns(2, 200) - 0.5).abs() < 1e-12);
         assert!((plan.capacity_factor_at_ns(2, 400) - 1.0).abs() < 1e-12);
-        // Round-indexed queries never see timed faults and vice versa.
-        assert_eq!(plan.device_condition(0, 1_000), DeviceCondition::Up);
-        assert_eq!(plan.next_transition_after(0), None);
+        // The round clock drops timed faults.
+        let rounds = plan.on_round_clock();
+        assert_eq!(rounds.device_condition_at_ns(0, 1_000), DeviceCondition::Up);
+        assert_eq!(rounds.next_transition_after_ns(0), None);
     }
 
     #[test]

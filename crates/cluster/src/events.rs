@@ -8,10 +8,11 @@
 //! never be dropped silently and a quoted p99 can never drift from the
 //! events behind it.
 //!
-//! Every event carries two clocks: `round` (the BSP round or event-loop
-//! epoch it was observed in) and `at_ns` (the fleet's virtual time at
-//! emission — the furthest any device has run in BSP mode, the event-queue
-//! time in event-driven mode). Both are nondecreasing in chain order.
+//! Every event carries two stamps: `round` (the BSP round, or the
+//! event-loop epoch, it was observed in) and `at_ns` (the fleet's virtual
+//! time at emission — the furthest any device has run in BSP mode, the
+//! event-queue time in event-driven mode). Both are nondecreasing in chain
+//! order.
 
 /// Modeled virtual cost of checkpointing an in-flight job at an iteration
 /// boundary (serializing the policy/estimator state and stream cursor).
@@ -19,13 +20,10 @@ pub const CHECKPOINT_COST_NS: u64 = 25_000;
 /// Modeled virtual cost of restoring a checkpoint on the migration target
 /// (rebuilding the session and fast-forwarding the batch stream).
 pub const RESTORE_COST_NS: u64 = 40_000;
-/// Base of the exponential requeue backoff in BSP mode: a job displaced
-/// for the `n`-th time waits `BACKOFF_BASE_ROUNDS << (n - 1)` rounds
-/// before it is eligible for re-admission.
-pub const BACKOFF_BASE_ROUNDS: usize = 1;
 /// Base of the exponential requeue backoff in event-driven mode: a job
 /// displaced for the `n`-th time waits `BACKOFF_BASE_NS << (n - 1)`
-/// virtual nanoseconds before it is eligible for re-admission.
+/// virtual nanoseconds before it is eligible for re-admission. On the BSP
+/// round clock the base is one tick.
 pub const BACKOFF_BASE_NS: u64 = 1_000_000;
 
 /// What happened, fleet-wise.

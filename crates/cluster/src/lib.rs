@@ -11,17 +11,18 @@
 //!   policy's predicted peak for the job's next iteration against the
 //!   device's headroom-discounted capacity, demoting (arming the recovery
 //!   ladder) or rejecting via the analytic all-checkpoint floor.
-//! - **Scheduling** comes in two modes behind one front door,
-//!   [`Cluster::builder`]: **BSP rounds** ([`Mode::Bsp`]) — one iteration
-//!   per busy device per round, real scoped threads, merge in
-//!   device-index order — and a **discrete-event loop**
-//!   ([`Mode::EventDriven`]) where an [`ArrivalProcess`] feeds jobs into
-//!   a virtual-time queue and dispatch happens at event boundaries.
-//!   Either way a [`ClusterReport`] is byte-identical run-to-run and
-//!   across thread counts, and a 1-job/1-device BSP cluster degenerates
-//!   exactly to [`mimose_exec::Session::run`].
-//! - **Reporting** ([`ClusterReport`]) folds per-device
-//!   [`RunSummary`](mimose_runtime::RunSummary)-compatible rollups into
+//! - **Scheduling** is one discrete-event loop behind one front door,
+//!   [`Cluster::builder`], on one of two clocks: **BSP rounds**
+//!   ([`Mode::Bsp`]) — a tick per round, one iteration per busy device
+//!   per tick, one barrier committing them in device-index order — and
+//!   **virtual nanoseconds** ([`Mode::EventDriven`]), where an
+//!   [`ArrivalProcess`] feeds jobs into the queue and each iteration
+//!   completes at its own instant. Either way a [`ClusterReport`] is
+//!   byte-identical run-to-run and across thread counts, and a
+//!   1-job/1-device BSP cluster degenerates exactly to
+//!   [`mimose_exec::Session::run`].
+//! - **Reporting** ([`ClusterReport`]) folds per-job
+//!   [`RunSummary`](mimose_runtime::RunSummary) rollups into
 //!   makespan, utilization, queue latency, OOM/recovery counts, admission
 //!   accuracy and (from the typed [`FleetEvent`] chain) the serving-mode
 //!   SLO tails ([`SloRollup`]: p50/p95/p99 queue wait and iteration
@@ -70,15 +71,13 @@ mod events;
 mod job;
 mod protocol;
 mod report;
-mod scheduler;
 mod spec;
 mod workload;
 
 pub use admission::{AdmissionController, AdmissionDecision, AdmissionStats};
 pub use error::ClusterError;
 pub use events::{
-    FleetEvent, FleetEventKind, BACKOFF_BASE_NS, BACKOFF_BASE_ROUNDS, CHECKPOINT_COST_NS,
-    RESTORE_COST_NS,
+    FleetEvent, FleetEventKind, BACKOFF_BASE_NS, CHECKPOINT_COST_NS, RESTORE_COST_NS,
 };
 pub use job::{
     DeterministicMimose, JobPolicy, JobSpec, MIMOSE_CACHE_HIT_COST_NS, MIMOSE_PLAN_COST_NS,
@@ -90,6 +89,7 @@ pub use mimose_data::ArrivalProcess;
 pub use report::{
     ClusterReport, DeviceReport, FleetStats, JobOutcome, JobPlacement, JobReport, SloRollup,
 };
-pub use scheduler::{run_bsp, run_cluster, ClusterOutcome, ClusterSpec, JobDetail, SchedulePolicy};
-pub use spec::{Cluster, ClusterBuilder, Mode};
+pub use spec::{
+    Cluster, ClusterBuilder, ClusterOutcome, ClusterSpec, JobDetail, Mode, SchedulePolicy,
+};
 pub use workload::{DevicePool, Workload};

@@ -1,18 +1,14 @@
-//! Mode-shared scheduling protocol: the parts of fleet scheduling that do
-//! not depend on how virtual time advances. Both drivers — the BSP round
-//! scheduler ([`run_bsp`](crate::scheduler::run_bsp)) and the discrete-
-//! event loop ([`run_event`](crate::des::run_event)) — submit jobs through
-//! the same profiling/certification pass, pick pending work with the same
-//! [`SchedulePolicy`] comparators, and fold their final state through the
-//! same report rollup, so a BSP run and its event-driven degenerate twin
-//! differ only in *when* decisions happen, never in *how*.
+//! Submission and picking: the parts of fleet scheduling that do not
+//! depend on the clock. The driver ([`crate::des`]) submits every job
+//! through one profiling/certification pass before its loop starts, and
+//! idle devices pick pending work with the [`SchedulePolicy`] comparators
+//! here, so a BSP run and its event-driven twin differ only in *when*
+//! decisions happen, never in *how*.
 
 use crate::admission::AdmissionController;
 use crate::job::JobSpec;
-use crate::report::{
-    ClusterReport, DeviceReport, FleetStats, JobOutcome, JobPlacement, JobReport, SloRollup,
-};
-use crate::scheduler::{ClusterSpec, JobDetail, SchedulePolicy};
+use crate::report::JobOutcome;
+use crate::spec::{ClusterSpec, JobDetail, SchedulePolicy};
 use mimose_models::{ModelGraph, ModelInput, ModelProfile, PassReport};
 use mimose_planner::memory_model::min_feasible_budget;
 use mimose_planner::{CheckpointPlan, MemoryPolicy};
@@ -128,11 +124,10 @@ fn graph_evidence(
     ))
 }
 
-/// Submission pass, shared verbatim by both drivers: profile each job,
-/// build its policy (static planners solve once against the worst case,
-/// costed on device 0), and settle jobs no device can ever hold. Jobs that
-/// settle here get their outcome written directly; everyone else gets a
-/// [`Submitted`] record.
+/// Submission pass: profile each job, build its policy (static planners
+/// solve once against the worst case, costed on device 0), and settle jobs
+/// no device can ever hold. Jobs that settle here get their outcome
+/// written directly; everyone else gets a [`Submitted`] record.
 ///
 /// Profiles are pure functions of (model, input), so the pass walks each
 /// distinct pair once: the worst case (with its floor and certificate) and
@@ -230,8 +225,8 @@ pub(crate) fn effective_device(spec: &ClusterSpec, d: usize, cap_factor: f64) ->
 /// Pick a fresh pending job for an idle device under the dispatch policy.
 /// Returns the *position* in `pending`. Admissibility is the all-
 /// checkpoint floor against the device's usable capacity; comparator ties
-/// resolve by queue position exactly as the original BSP scheduler did
-/// (first for FIFO/shortest, last for best-fit).
+/// resolve by queue position (first for FIFO/shortest, last for
+/// best-fit).
 pub(crate) fn pick_pending(
     schedule: SchedulePolicy,
     pending: &[usize],
@@ -269,162 +264,5 @@ pub(crate) fn pick_pending(
             })
             .max_by_key(|&(_, fill)| fill)
             .map(|(i, _)| i),
-    }
-}
-
-/// Per-device accumulator snapshot handed to the rollup.
-pub(crate) struct DeviceAccum {
-    /// Virtual nanoseconds spent executing iterations.
-    pub busy_ns: u64,
-    /// Jobs that ran to their end here.
-    pub jobs_run: usize,
-    /// Iterations executed here.
-    pub iters: usize,
-}
-
-/// Everything a driver accumulated, ready to fold into a
-/// [`ClusterReport`]. One struct so the two drivers cannot drift on which
-/// pieces feed the rollup.
-pub(crate) struct RollupInputs {
-    pub outcomes: Vec<Option<JobOutcome>>,
-    pub queue_waits: Vec<Option<u64>>,
-    pub demoted: Vec<bool>,
-    pub placements: Vec<Vec<JobPlacement>>,
-    pub migrations: Vec<usize>,
-    pub retries: Vec<usize>,
-    pub overhead: Vec<u64>,
-    /// Virtual arrival instant per job (all zero in BSP mode).
-    pub arrival_ns: Vec<u64>,
-    /// Virtual completion instant per job (`None` in BSP mode, and for
-    /// jobs that never finished).
-    pub finish_ns: Vec<Option<u64>>,
-    pub events: Vec<crate::events::FleetEvent>,
-    pub fleet: FleetStats,
-    pub lost: Vec<bool>,
-    pub device_stats: Vec<DeviceAccum>,
-    pub rounds: usize,
-    pub makespan_ns: u64,
-}
-
-/// The shared rollup: fold driver state into the final [`ClusterReport`].
-/// Queue-wait means, utilization, per-job rows, the SLO tail fold and the
-/// JSON-visible spec echoes (mode, arrivals) all live here.
-pub(crate) fn finish_report(
-    spec: &ClusterSpec,
-    ctl: AdmissionController,
-    details: &[JobDetail],
-    inputs: RollupInputs,
-) -> ClusterReport {
-    let n_devs = spec.devices.len();
-    let RollupInputs {
-        outcomes,
-        queue_waits,
-        demoted,
-        placements,
-        migrations,
-        retries,
-        overhead,
-        arrival_ns,
-        finish_ns,
-        events,
-        mut fleet,
-        lost,
-        device_stats,
-        rounds,
-        makespan_ns,
-    } = inputs;
-
-    let busy_ns: u64 = device_stats.iter().map(|s| s.busy_ns).sum();
-    let utilization_pct = if makespan_ns > 0 {
-        busy_ns as f64 / (makespan_ns as f64 * n_devs as f64) * 100.0
-    } else {
-        0.0
-    };
-    let waits: Vec<u64> = queue_waits.iter().filter_map(|w| *w).collect();
-    let mean_queue_wait_ns = if waits.is_empty() {
-        0
-    } else {
-        waits.iter().sum::<u64>() / waits.len() as u64
-    };
-    let max_queue_wait_ns = waits.iter().copied().max().unwrap_or(0);
-    fleet.overhead_ns = overhead.iter().sum();
-
-    let jobs: Vec<JobReport> = spec
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(j, job)| {
-            let s = &details[j].summary;
-            JobReport {
-                name: job.name.clone(),
-                policy: job.policy.name().to_string(),
-                budget_bytes: {
-                    let b = job.policy.budget_bytes();
-                    (b != usize::MAX).then_some(b)
-                },
-                device: details[j].device,
-                outcome: outcomes[j].clone().unwrap_or(JobOutcome::Rejected),
-                demoted: demoted[j],
-                iters: s.iters,
-                arrival_ns: arrival_ns[j],
-                queue_wait_ns: queue_waits[j].unwrap_or(0),
-                finish_ns: finish_ns[j],
-                total_ns: s.total_ns,
-                max_peak_bytes: s.max_peak_bytes,
-                oom_iters: s.oom_iters,
-                recovered_iters: s.recovered_iters,
-                recovery_events: s.recovery_events,
-                shuttle_iters: s.shuttle_iters,
-                plan_tiers: details[j].plan_tiers,
-                migrations: migrations[j],
-                retries: retries[j],
-                fleet_overhead_ns: overhead[j],
-                graph_raw_peak_bytes: details[j].graph_raw_peak_bytes,
-                graph_opt_peak_bytes: details[j].graph_opt_peak_bytes,
-                admission_reason: details[j].admission_reason.clone(),
-                placements: placements[j].clone(),
-            }
-        })
-        .collect();
-    fleet.failed_jobs = jobs
-        .iter()
-        .filter(|j| matches!(j.outcome, JobOutcome::Failed(_)))
-        .count();
-    let iter_latencies: Vec<u64> = details
-        .iter()
-        .flat_map(|d| d.reports.iter().map(|r| r.time.total_ns()))
-        .collect();
-    let slo = SloRollup::fold(&jobs, &iter_latencies, makespan_ns);
-    ClusterReport {
-        schedule: spec.schedule.name().to_string(),
-        mode: spec.mode.name().to_string(),
-        arrivals: spec.arrivals.clone(),
-        rounds,
-        makespan_ns,
-        busy_ns,
-        utilization_pct,
-        mean_queue_wait_ns,
-        max_queue_wait_ns,
-        oom_iters: jobs.iter().map(|j| j.oom_iters).sum(),
-        recovered_iters: jobs.iter().map(|j| j.recovered_iters).sum(),
-        recovery_events: jobs.iter().map(|j| j.recovery_events).sum(),
-        admission: ctl.stats,
-        slo,
-        fleet,
-        fault_plan: spec.faults.clone(),
-        events,
-        devices: device_stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| DeviceReport {
-                index: i,
-                capacity_bytes: spec.devices[i].total_mem_bytes,
-                busy_ns: s.busy_ns,
-                jobs_run: s.jobs_run,
-                iters: s.iters,
-                lost: lost[i],
-            })
-            .collect(),
-        jobs,
     }
 }

@@ -1,7 +1,8 @@
 //! The cluster front door: [`Cluster::builder()`] mirrors
 //! [`Session::builder`](mimose_exec::Session::builder) one level up —
 //! devices, workload, arrival process and execution mode are chained onto
-//! a [`ClusterBuilder`], and `.run()` returns
+//! a [`ClusterBuilder`], which validates into a [`ClusterSpec`];
+//! [`ClusterSpec::run`] drives it and returns
 //! `Result<ClusterOutcome, ClusterError>` instead of panicking on a
 //! malformed spec.
 //!
@@ -18,27 +19,31 @@
 //! # }
 //! ```
 
-use crate::des::run_event;
 use crate::error::ClusterError;
-use crate::scheduler::{run_bsp, ClusterOutcome, ClusterSpec, SchedulePolicy};
+use crate::job::JobSpec;
+use crate::report::ClusterReport;
 use crate::workload::{DevicePool, Workload};
 use mimose_chaos::FleetFaultPlan;
 use mimose_data::ArrivalProcess;
+use mimose_exec::IterationRecord;
+use mimose_planner::PlanTierStats;
+use mimose_runtime::{IterationReport, RunSummary};
+use mimose_simgpu::DeviceProfile;
 
 /// How the fleet advances virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// BSP rounds: every job is present at `t = 0`, each round every busy
-    /// device runs exactly one iteration, a barrier joins them. The batch
-    /// world — maximally parallel, arrival-blind.
+    /// BSP rounds: the event loop on a round clock. Every job is present
+    /// at tick 0, each tick every busy device runs exactly one iteration,
+    /// and one barrier event ends the round. The batch world — maximally
+    /// parallel, arrival-blind. Round-indexed faults apply.
     #[default]
     Bsp,
-    /// Discrete-event simulation: a virtual-time event queue drives job
-    /// arrivals, per-iteration completions, timed device faults and
-    /// backoff expiries; dispatch happens at event boundaries. The serving
+    /// Discrete events on a virtual-nanosecond clock: job arrivals,
+    /// per-iteration completions, timed device faults and backoff expiries
+    /// drive the loop; dispatch happens at event boundaries. The serving
     /// world — queueing, SLO tails and overload behavior become visible.
-    /// The `threads` knob has no effect here (the event loop is serial by
-    /// construction), so reports are trivially thread-count-independent.
+    /// Timed faults apply.
     EventDriven,
 }
 
@@ -75,9 +80,9 @@ impl Cluster {
 }
 
 /// Builder for one cluster run; see the module docs for the shape.
-/// Defaults mirror `ClusterSpec::new`: FIFO dispatch, parallel rounds,
-/// 0.95 headroom, no faults, no recording, 3 displacement retries, BSP
-/// mode with immediate arrivals and no queue limit.
+/// Defaults: FIFO dispatch, threaded steps, 0.95 headroom, no faults, no
+/// recording, 3 displacement retries, BSP mode with immediate arrivals and
+/// no queue limit.
 pub struct ClusterBuilder {
     devices: Option<DevicePool>,
     workload: Option<Workload>,
@@ -147,10 +152,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set the BSP threading mode: `1` runs rounds serially on the calling
-    /// thread; any other value spawns one scoped thread per busy device.
-    /// The report is byte-identical either way; event-driven mode ignores
-    /// the knob entirely.
+    /// Set the threading mode of the step pass: `1` steps the jobs parked
+    /// at an event boundary serially on the calling thread; any other
+    /// value spawns one scoped thread per parked job when more than one
+    /// is parked. Both modes share the pass, and the report is
+    /// byte-identical either way.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -224,7 +230,89 @@ impl ClusterBuilder {
         Ok(spec)
     }
 
-    /// Compile and run the cluster to completion. Per-job failures
+    /// Compile and run the cluster to completion: `build()?.run()`.
+    ///
+    /// # Errors
+    ///
+    /// See [`ClusterBuilder::build`].
+    pub fn run(self) -> Result<ClusterOutcome, ClusterError> {
+        self.build()?.run()
+    }
+}
+
+/// How idle devices choose among queued jobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulePolicy {
+    /// Oldest admissible job first.
+    Fifo,
+    /// Admissible job with the smallest predicted iteration time first
+    /// (drains short jobs early, shrinking mean queue wait).
+    ShortestPredicted,
+    /// Admissible job whose predicted peak fills the device best
+    /// (packs big jobs onto devices while they are free).
+    BestFitMemory,
+}
+
+impl SchedulePolicy {
+    /// Stable lowercase name.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            SchedulePolicy::Fifo => "fifo",
+            SchedulePolicy::ShortestPredicted => "shortest-predicted",
+            SchedulePolicy::BestFitMemory => "best-fit-memory",
+        }
+    }
+
+    /// Parse a [`Self::name`] string (case-insensitive).
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.to_ascii_lowercase().as_str() {
+            "fifo" => Some(SchedulePolicy::Fifo),
+            "shortest-predicted" | "sjf" => Some(SchedulePolicy::ShortestPredicted),
+            "best-fit-memory" | "best-fit" => Some(SchedulePolicy::BestFitMemory),
+            _ => None,
+        }
+    }
+}
+
+/// A whole cluster run, as data: jobs, devices, and the knobs. Built and
+/// validated by [`Cluster::builder`]; [`Self::run`] drives it.
+pub struct ClusterSpec {
+    /// Jobs, in submission order.
+    pub jobs: Vec<JobSpec>,
+    /// The device pool.
+    pub devices: Vec<DeviceProfile>,
+    /// Dispatch policy.
+    pub schedule: SchedulePolicy,
+    /// `1` steps parked jobs serially on the calling thread; any other
+    /// value spawns one scoped thread per parked job. The report is
+    /// byte-identical either way.
+    pub threads: usize,
+    /// Admission headroom (fraction of device memory admission may plan
+    /// into).
+    pub headroom: f64,
+    /// Per-device fault derivation (noop by default). BSP mode reads the
+    /// round-indexed faults on its round clock
+    /// ([`FleetFaultPlan::on_round_clock`]); event-driven mode reads the
+    /// timed faults.
+    pub faults: FleetFaultPlan,
+    /// Record every iteration's event stream for auditing.
+    pub record: bool,
+    /// How many times a job may be displaced off a dying device before
+    /// the scheduler fails it instead of requeueing again.
+    pub max_retries: usize,
+    /// How virtual time advances (BSP rounds or discrete events).
+    pub mode: Mode,
+    /// When jobs enter the fleet (event-driven mode; BSP ignores it).
+    pub arrivals: ArrivalProcess,
+    /// Bound on the pending queue (event-driven mode): arrivals past it
+    /// are shed explicitly. `None` queues without bound.
+    pub queue_limit: Option<usize>,
+}
+
+impl ClusterSpec {
+    /// Run the spec to completion on the fleet driver. Per-job failures
     /// (profile errors, data exhaustion, displacement past the retry
     /// budget) and load-shed jobs are recorded in the report, not
     /// returned — a run that starts always yields a report, even when the
@@ -232,18 +320,61 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// See [`ClusterBuilder::build`].
-    pub fn run(self) -> Result<ClusterOutcome, ClusterError> {
-        let spec = self.build()?;
-        match spec.mode {
-            Mode::Bsp => run_bsp(&spec),
-            Mode::EventDriven => run_event(&spec),
-        }
+    /// [`ClusterError`] when the spec cannot start at all (empty device
+    /// pool, zero-iteration job).
+    pub fn run(&self) -> Result<ClusterOutcome, ClusterError> {
+        validate(self)?;
+        Ok(crate::des::run(self))
     }
 }
 
-/// Shared spec validation: both drivers re-check before running, so even
-/// hand-built `ClusterSpec`s (the legacy path) get the typed errors.
+/// Everything the scheduler kept about one job, for auditing and
+/// equivalence checks (the [`ClusterReport`] holds only the rollup).
+#[derive(Debug, Default)]
+pub struct JobDetail {
+    /// Job name.
+    pub name: String,
+    /// Device the job last ran on.
+    pub device: Option<usize>,
+    /// Round (BSP) or event-loop epoch (event-driven) at which the job
+    /// was first dispatched.
+    pub dispatch_round: Option<usize>,
+    /// Global dispatch sequence number of the first dispatch
+    /// (0 = dispatched first; migrations take fresh numbers, recorded on
+    /// their [`FleetEvent`](crate::FleetEvent)).
+    pub dispatch_seq: Option<usize>,
+    /// Per-iteration reports, in order, across every placement.
+    pub reports: Vec<IterationReport>,
+    /// Recorded event streams (empty unless the spec set `record`).
+    pub records: Vec<IterationRecord>,
+    /// The session's own fold of the run.
+    pub summary: RunSummary,
+    /// Planning-tier ladder counters snapshotted at job completion
+    /// (`None` for static planners, which have no tiered planner).
+    pub plan_tiers: Option<PlanTierStats>,
+    /// Why admission demoted or rejected the job (`None` for plain
+    /// admits).
+    pub admission_reason: Option<String>,
+    /// The policy's predicted first-iteration peak over the *raw*
+    /// (pre-pass) graph, when it could be profiled — what admission
+    /// would have gated on without the optimization pipeline.
+    pub graph_raw_peak_bytes: Option<usize>,
+    /// The same prediction over the optimized graph — what admission
+    /// actually gated on. The gap to `graph_raw_peak_bytes` is the
+    /// pass pipeline's credit.
+    pub graph_opt_peak_bytes: Option<usize>,
+}
+
+/// A finished cluster run: the rollup plus per-job evidence.
+pub struct ClusterOutcome {
+    /// The fleet rollup.
+    pub report: ClusterReport,
+    /// Per-job evidence, in submission order.
+    pub details: Vec<JobDetail>,
+}
+
+/// Spec validation: [`ClusterSpec::run`] re-checks before running, so a
+/// spec built field by field gets the typed errors too.
 pub(crate) fn validate(spec: &ClusterSpec) -> Result<(), ClusterError> {
     if spec.devices.is_empty() {
         return Err(ClusterError::EmptyDevicePool);

@@ -1,70 +1,14 @@
-//! Migration-safety properties for the builder API redesign.
+//! Mode-equivalence properties of the fleet driver.
 //!
-//! 1. The hand-built spec surface (`run_cluster` over `ClusterSpec::new`)
-//!    and the builder (`Cluster::builder()...run()`) are the *same*
-//!    scheduler: their reports are byte-identical on the canonical
-//!    workload, across schedule policies and fault plans.
-//! 2. The event-driven mode degenerates to BSP: with every arrival at
+//! 1. The event-driven mode degenerates to BSP: with every arrival at
 //!    `t = 0`, no faults and no queue bound, each job's per-iteration
 //!    evidence (reports, outcome, iteration count) matches the BSP run
-//!    job-for-job — the two drivers differ in *when* decisions happen,
+//!    job-for-job — the two clocks differ in *when* decisions happen,
 //!    never in *how* a job executes.
+//! 2. The thread knob never changes an event-mode report, whether one job
+//!    or several step at an event boundary.
 
-use mimose_chaos::{DeviceFault, FleetFaultPlan};
-use mimose_cluster::{
-    run_cluster, ArrivalProcess, Cluster, ClusterSpec, DevicePool, JobOutcome, Mode,
-    SchedulePolicy, Workload,
-};
-use mimose_simgpu::DeviceProfile;
-
-/// The canonical workload on `n` V100s, as a hand-built spec.
-fn hand_built(iters: usize, n: usize) -> ClusterSpec {
-    ClusterSpec::new(
-        Workload::mixed(iters).into_jobs(),
-        vec![DeviceProfile::v100(); n],
-    )
-}
-
-#[test]
-fn builder_and_legacy_wrapper_are_byte_identical() {
-    for schedule in [
-        SchedulePolicy::Fifo,
-        SchedulePolicy::ShortestPredicted,
-        SchedulePolicy::BestFitMemory,
-    ] {
-        let legacy = run_cluster(&hand_built(2, 2).schedule(schedule));
-        let built = Cluster::builder()
-            .devices(DevicePool::v100(2))
-            .workload(Workload::mixed(2))
-            .schedule(schedule)
-            .run()
-            .expect("canonical workload runs");
-        assert_eq!(
-            legacy.report.to_json(),
-            built.report.to_json(),
-            "{} diverged",
-            schedule.name()
-        );
-    }
-}
-
-#[test]
-fn builder_and_legacy_wrapper_agree_under_faults() {
-    let faults = || FleetFaultPlan::none(0).with_device_fault(1, DeviceFault::Lost { at_round: 2 });
-    let legacy = run_cluster(&hand_built(4, 4).faults(faults()).record(true));
-    let built = Cluster::builder()
-        .devices(DevicePool::v100(4))
-        .workload(Workload::mixed(4))
-        .faults(faults())
-        .record(true)
-        .run()
-        .expect("faulted workload runs");
-    assert_eq!(legacy.report.to_json(), built.report.to_json());
-    for (a, b) in legacy.details.iter().zip(&built.details) {
-        assert_eq!(format!("{:?}", a.reports), format!("{:?}", b.reports));
-        assert_eq!(format!("{:?}", a.records), format!("{:?}", b.records));
-    }
-}
+use mimose_cluster::{ArrivalProcess, Cluster, DevicePool, JobOutcome, Mode, Workload};
 
 #[test]
 fn event_mode_with_degenerate_arrivals_reproduces_bsp_per_job() {
@@ -116,15 +60,27 @@ fn event_mode_with_degenerate_arrivals_reproduces_bsp_per_job() {
 
 #[test]
 fn event_mode_is_thread_knob_independent() {
-    let mk = |threads| {
-        Cluster::builder()
-            .devices(DevicePool::v100(2))
-            .workload(Workload::mixed(2))
-            .mode(Mode::EventDriven)
-            .arrivals(ArrivalProcess::poisson(300_000, 9))
-            .threads(threads)
-            .run()
-            .expect("serving run")
-    };
-    assert_eq!(mk(1).report.to_json(), mk(8).report.to_json());
+    // Immediate arrivals start two jobs at t = 0, so the step pass takes
+    // its threaded branch.
+    for arrivals in [
+        ArrivalProcess::poisson(300_000, 9),
+        ArrivalProcess::Immediate,
+    ] {
+        let mk = |threads| {
+            Cluster::builder()
+                .devices(DevicePool::v100(2))
+                .workload(Workload::mixed(2))
+                .mode(Mode::EventDriven)
+                .arrivals(arrivals.clone())
+                .threads(threads)
+                .run()
+                .expect("serving run")
+        };
+        assert_eq!(
+            mk(1).report.to_json(),
+            mk(8).report.to_json(),
+            "{}",
+            arrivals.name()
+        );
+    }
 }
