@@ -67,7 +67,10 @@ pub struct JobPlacement {
 /// re-derivable from the [`FleetEvent`] chain.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Devices that were permanently lost during the run.
+    /// Devices that left for good during the run: lost, or down with no
+    /// return ahead (an outage that turns into a loss). A device counts
+    /// from the first down event that says it never returns, even when
+    /// the run ends before the loss itself.
     pub devices_lost: usize,
     /// Jobs checkpointed off a dying device.
     pub checkpoints: usize,
@@ -271,8 +274,8 @@ pub struct DeviceReport {
     pub jobs_run: usize,
     /// Iterations executed here.
     pub iters: usize,
-    /// True when the fault plan permanently removed this device during
-    /// the run.
+    /// True when the fault plan removed this device for good during the
+    /// run (see [`FleetStats::devices_lost`]).
     pub lost: bool,
 }
 
