@@ -125,26 +125,6 @@ impl<'a> SessionCheckpoint<'a> {
     pub fn into_evidence(self) -> (RunSummary, Vec<IterationRecord>, Box<dyn MemoryPolicy + 'a>) {
         (self.summary, self.records, self.policy)
     }
-
-    /// Deterministic JSON digest of the checkpoint — the serialized
-    /// evidence a fleet report embeds for a migrated job (the policy box
-    /// itself resumes in-process; its budget and ladder counters are the
-    /// externally meaningful state).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let budget = self.policy.budget_bytes();
-        let budget = if budget == usize::MAX { 0 } else { budget };
-        format!(
-            "{{\"seed\":{},\"cursor\":{},\"iters\":{},\"total_ns\":{},\
-             \"max_peak_bytes\":{},\"budget_bytes\":{budget},\"records\":{}}}",
-            self.seed,
-            self.cursor,
-            self.summary.iters,
-            self.summary.total_ns,
-            self.summary.max_peak_bytes,
-            self.records.len(),
-        )
-    }
 }
 
 /// Configures and validates a [`Session`]. Created by [`Session::builder`].
@@ -1037,8 +1017,6 @@ mod tests {
         assert_eq!(cp.cursor(), 5);
         assert_eq!(cp.seed(), 13);
         assert_eq!(cp.summary().iters, 5);
-        let digest = cp.to_json();
-        assert!(digest.contains("\"cursor\":5"), "{digest}");
         let mut second = Session::builder(&model, &ds)
             .record(true)
             .resume(cp)

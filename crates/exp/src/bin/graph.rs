@@ -14,6 +14,7 @@
 use mimose::models::builders::{bert_base, resnet50_od, roberta_base, t5_base, BertHead};
 use mimose::models::{GraphDelta, ModelGraph, ModelInput, OptimizedGraph, StashMode};
 use mimose_exp::table::{gib, render_table};
+use mimose_runtime::json;
 use std::path::Path;
 use std::time::Instant;
 
@@ -251,31 +252,31 @@ struct BenchRow {
 }
 
 fn bench_json(rows: &[BenchRow]) -> String {
-    let mut o = String::new();
-    o.push_str("{\n  \"suite\": \"graph\",\n  \"builders\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        o.push_str(&format!(
-            "    {{\"model\": \"{}\", \"optimize_ns\": {}, \"raw_act_bytes\": {}, \
-             \"opt_act_bytes\": {}, \"bytes_saved\": {}, \"passes\": [",
-            r.model,
-            r.optimize_ns,
-            r.raw_act_bytes,
-            r.opt_act_bytes,
-            r.raw_act_bytes.saturating_sub(r.opt_act_bytes),
-        ));
-        for (k, (pass, nodes, saved)) in r.passes.iter().enumerate() {
-            o.push_str(&format!(
-                "{{\"pass\": \"{pass}\", \"nodes\": {nodes}, \"bytes_saved\": {saved}}}{}",
-                if k + 1 < r.passes.len() { ", " } else { "" }
-            ));
-        }
-        o.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    o.push_str("  ]\n}\n");
-    o
+    json::object(|o| {
+        o.field("suite", "graph").array("builders", |a| {
+            for r in rows {
+                a.object(|o| {
+                    o.field("model", r.model)
+                        .field("optimize_ns", r.optimize_ns)
+                        .field("raw_act_bytes", r.raw_act_bytes)
+                        .field("opt_act_bytes", r.opt_act_bytes)
+                        .field(
+                            "bytes_saved",
+                            r.raw_act_bytes.saturating_sub(r.opt_act_bytes),
+                        )
+                        .array("passes", |a| {
+                            for (pass, nodes, saved) in &r.passes {
+                                a.object(|o| {
+                                    o.field("pass", pass)
+                                        .field("nodes", nodes)
+                                        .field("bytes_saved", saved);
+                                });
+                            }
+                        });
+                });
+            }
+        });
+    }) + "\n"
 }
 
 fn gate() -> Vec<String> {

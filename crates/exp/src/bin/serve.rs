@@ -20,6 +20,7 @@ use mimose::cluster::{ClusterBuilder, ClusterOutcome, ClusterReport};
 use mimose::prelude::*;
 use mimose_audit::lint_cluster;
 use mimose_exp::table::{gib, ms, render_table};
+use mimose_runtime::json::{self, Fixed, Object};
 use std::path::Path;
 
 const USAGE: &str = "\
@@ -37,7 +38,7 @@ OPTIONS:
     --seed <N>         arrival-stream seed  [42]
     --queue-limit <N>  bound the pending queue; arrivals past it shed  [none]
     --schedule <P>     fifo | shortest-predicted | best-fit-memory  [fifo]
-    --threads <N>      worker threads (ignored by the event loop)  [0]
+    --threads <N>      step threads (1 = serial; else one per parked job)  [0]
     --json             print the ClusterReport JSON instead of the table
     --gate             run the determinism/equivalence/audit/overload gate
                        and write BENCH_serve.json at the repository root
@@ -248,35 +249,26 @@ fn render(outcome: &ClusterOutcome) {
     }
 }
 
-fn slo_json(label: &str, r: &ClusterReport) -> String {
+fn slo_json(o: &mut Object<'_>, r: &ClusterReport) {
     let s = &r.slo;
-    format!(
-        "  \"{label}\": {{\n    \"devices\": {}, \"jobs\": {}, \"arrivals\": \"{}\", \
-         \"makespan_ns\": {}, \"utilization_pct\": {:.4},\n    \
-         \"queue_wait_p50_ns\": {}, \"queue_wait_p95_ns\": {}, \"queue_wait_p99_ns\": {},\n    \
-         \"iter_latency_p50_ns\": {}, \"iter_latency_p95_ns\": {}, \"iter_latency_p99_ns\": {},\n    \
-         \"goodput_iters\": {}, \"goodput_iters_per_s\": {:.4},\n    \
-         \"rejected_jobs\": {}, \"shed_jobs\": {}, \"failed_jobs\": {}, \
-         \"rejection_rate_pct\": {:.4}, \"shed_rate_pct\": {:.4}\n  }}",
-        r.devices.len(),
-        r.jobs.len(),
-        r.arrivals.name(),
-        r.makespan_ns,
-        r.utilization_pct,
-        s.queue_wait_p50_ns,
-        s.queue_wait_p95_ns,
-        s.queue_wait_p99_ns,
-        s.iter_latency_p50_ns,
-        s.iter_latency_p95_ns,
-        s.iter_latency_p99_ns,
-        s.goodput_iters,
-        s.goodput_iters_per_s,
-        s.rejected_jobs,
-        s.shed_jobs,
-        s.failed_jobs,
-        s.rejection_rate_pct,
-        s.shed_rate_pct,
-    )
+    o.field("devices", r.devices.len())
+        .field("jobs", r.jobs.len())
+        .field("arrivals", r.arrivals.name())
+        .field("makespan_ns", r.makespan_ns)
+        .field("utilization_pct", Fixed(r.utilization_pct, 4))
+        .field("queue_wait_p50_ns", s.queue_wait_p50_ns)
+        .field("queue_wait_p95_ns", s.queue_wait_p95_ns)
+        .field("queue_wait_p99_ns", s.queue_wait_p99_ns)
+        .field("iter_latency_p50_ns", s.iter_latency_p50_ns)
+        .field("iter_latency_p95_ns", s.iter_latency_p95_ns)
+        .field("iter_latency_p99_ns", s.iter_latency_p99_ns)
+        .field("goodput_iters", s.goodput_iters)
+        .field("goodput_iters_per_s", Fixed(s.goodput_iters_per_s, 4))
+        .field("rejected_jobs", s.rejected_jobs)
+        .field("shed_jobs", s.shed_jobs)
+        .field("failed_jobs", s.failed_jobs)
+        .field("rejection_rate_pct", Fixed(s.rejection_rate_pct, 4))
+        .field("shed_rate_pct", Fixed(s.shed_rate_pct, 4));
 }
 
 /// Overload-leg shape: enough jobs to swamp the pool, arrivals much
@@ -314,7 +306,7 @@ fn gate(args: &Args) -> Vec<String> {
         "two serving runs diverged".into(),
     );
 
-    // 2. The thread knob is inert in the event loop.
+    // 2. Serial and threaded step passes give the same report.
     let t1 = run(builder(args).threads(1)).report.to_json();
     let t8 = run(builder(args).threads(8)).report.to_json();
     check(
@@ -427,13 +419,13 @@ fn gate(args: &Args) -> Vec<String> {
 
     // 6. Emit the SLO record: the steady serving run plus the overload
     // scenario.
-    let json = format!(
-        "{{\n  \"suite\": \"serve\",\n  \"mode\": \"event-driven\",\n  \
-         \"iters_per_job\": {},\n{},\n{}\n}}\n",
-        args.iters,
-        slo_json("steady", &steady.report),
-        slo_json("overload", &overload.report),
-    );
+    let json = json::object(|o| {
+        o.field("suite", "serve")
+            .field("mode", "event-driven")
+            .field("iters_per_job", args.iters)
+            .object("steady", |o| slo_json(o, &steady.report))
+            .object("overload", |o| slo_json(o, &overload.report));
+    }) + "\n";
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
     match std::fs::write(&path, json) {
         Ok(()) => eprintln!("serve gate: wrote {}", path.display()),

@@ -87,27 +87,6 @@ pub struct RecoveryEvent {
     pub freed_bytes: usize,
 }
 
-impl RecoveryEvent {
-    /// Render as a single JSON object (no external dependencies).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rung\":\"{}\",\"attempt\":{},\"phase\":\"{}\",\"requested\":{},\
-             \"ckpt_before\":{},\"ckpt_after\":{},\"shrink_factor\":{:.6},\
-             \"time_cost_ns\":{},\"freed_bytes\":{}}}",
-            self.rung.name(),
-            self.attempt,
-            self.phase,
-            self.requested,
-            self.ckpt_before,
-            self.ckpt_after,
-            self.shrink_factor,
-            self.time_cost_ns,
-            self.freed_bytes,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,24 +96,5 @@ mod tests {
         assert!(RecoveryRung::CoalesceRetry < RecoveryRung::Demotion);
         assert!(RecoveryRung::Demotion < RecoveryRung::Restart);
         assert!(RecoveryRung::Restart < RecoveryRung::Fallback);
-    }
-
-    #[test]
-    fn event_serialises_to_json() {
-        let ev = RecoveryEvent {
-            rung: RecoveryRung::Restart,
-            attempt: 1,
-            phase: "forward",
-            requested: 4096,
-            ckpt_before: 3,
-            ckpt_after: 7,
-            shrink_factor: 0.85,
-            time_cost_ns: 12345,
-            freed_bytes: 0,
-        };
-        let j = ev.to_json();
-        assert!(j.contains("\"rung\":\"restart\""), "{j}");
-        assert!(j.contains("\"ckpt_after\":7"), "{j}");
-        assert!(j.starts_with('{') && j.ends_with('}'));
     }
 }

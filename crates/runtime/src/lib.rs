@@ -27,6 +27,7 @@
 mod engine;
 mod event;
 mod fold;
+pub mod json;
 mod live;
 mod policy;
 mod report;
