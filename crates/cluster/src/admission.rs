@@ -105,24 +105,21 @@ impl AdmissionStats {
     }
 }
 
-/// The admission controller: stateless decision function plus the fleet's
-/// accuracy tally.
-#[derive(Debug, Clone)]
-pub struct AdmissionController {
-    /// Fraction of device memory admission may plan into (the rest is
-    /// headroom for fragmentation and prediction error).
-    pub headroom: f64,
-    /// Outcome tally.
-    pub stats: AdmissionStats,
+/// Fraction of device memory admission may plan into; the rest is
+/// headroom for fragmentation and prediction error.
+pub(crate) const ADMISSION_HEADROOM: f64 = 0.95;
+
+/// The headroom-discounted capacity admission gates against.
+pub(crate) fn usable_bytes(dev: &DeviceProfile) -> usize {
+    (dev.total_mem_bytes as f64 * ADMISSION_HEADROOM) as usize
 }
 
-impl Default for AdmissionController {
-    fn default() -> Self {
-        AdmissionController {
-            headroom: 0.95,
-            stats: AdmissionStats::default(),
-        }
-    }
+/// The admission controller: stateless decision function plus the fleet's
+/// accuracy tally. It plans into a fixed 95 % of each device's memory.
+#[derive(Debug, Clone, Default)]
+pub struct AdmissionController {
+    /// Outcome tally.
+    pub stats: AdmissionStats,
 }
 
 impl AdmissionController {
@@ -159,7 +156,7 @@ impl AdmissionController {
         certificate: Option<&SafetyCertificate>,
     ) -> AdmissionDecision {
         let capacity = device.total_mem_bytes;
-        let usable = (capacity as f64 * self.headroom) as usize;
+        let usable = usable_bytes(device);
         if let Some(cert) = certificate {
             if cert.fits(usable) {
                 self.stats.admitted += 1;
@@ -235,7 +232,7 @@ mod tests {
         let p = opt.profile(&input).unwrap();
         let mut dev = DeviceProfile::v100();
         let mid = (raw_peak + opt_peak) / 2;
-        dev.total_mem_bytes = (mid as f64 / 0.95).ceil() as usize;
+        dev.total_mem_bytes = (mid as f64 / ADMISSION_HEADROOM).ceil() as usize;
         let mut ctl = AdmissionController::default();
 
         match ctl.decide(raw_peak, &p, &dev) {
@@ -251,7 +248,7 @@ mod tests {
         let m = bert_base(BertHead::Classification { labels: 2 });
         let p = m.profile(&ModelInput::tokens(32, 256)).unwrap();
         let dev = DeviceProfile::v100();
-        let usable = (dev.total_mem_bytes as f64 * 0.95) as usize;
+        let usable = usable_bytes(&dev);
         let mut ctl = AdmissionController::default();
 
         // A sound none-plan certificate under the usable capacity turns an

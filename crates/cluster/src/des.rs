@@ -45,7 +45,7 @@
 //! lowest priority first — never silently dropped. Every step is a typed,
 //! cost-attributed [`FleetEvent`] on the report.
 
-use crate::admission::{AdmissionController, AdmissionDecision};
+use crate::admission::{usable_bytes, AdmissionController, AdmissionDecision};
 use crate::events::{
     FleetEvent, FleetEventKind, BACKOFF_BASE_NS, CHECKPOINT_COST_NS, RESTORE_COST_NS,
 };
@@ -265,10 +265,7 @@ impl<'s> Fleet<'s> {
     fn new(spec: &'s ClusterSpec) -> Self {
         let n_jobs = spec.jobs.len();
         let bsp = spec.mode == Mode::Bsp;
-        let mut ctl = AdmissionController {
-            headroom: spec.headroom,
-            ..AdmissionController::default()
-        };
+        let mut ctl = AdmissionController::default();
         let mut outcomes = vec![None; n_jobs];
         let mut details: Vec<JobDetail> = spec
             .jobs
@@ -633,7 +630,7 @@ impl<'s> Fleet<'s> {
     fn triage(&mut self) {
         let alive_usable = (0..self.devices.len())
             .filter(|&d| self.conds[d] != DeviceCondition::Lost)
-            .map(|d| protocol::usable_bytes(&self.spec.devices[d], self.spec.headroom))
+            .map(|d| usable_bytes(&self.spec.devices[d]))
             .max()
             .unwrap_or(0);
         let submitted = &self.submitted;
@@ -688,7 +685,7 @@ impl<'s> Fleet<'s> {
             }
             let cap_factor = self.faults.capacity_factor_at_ns(d, self.t);
             let dev = protocol::effective_device(self.spec, d, cap_factor);
-            let usable = protocol::usable_bytes(&dev, self.spec.headroom);
+            let usable = usable_bytes(&dev);
             let submitted = &self.submitted;
             let pick = self
                 .displaced

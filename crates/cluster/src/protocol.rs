@@ -5,7 +5,7 @@
 //! here, so a BSP run and its event-driven twin differ only in *when*
 //! decisions happen, never in *how*.
 
-use crate::admission::AdmissionController;
+use crate::admission::{usable_bytes, AdmissionController};
 use crate::job::JobSpec;
 use crate::report::JobOutcome;
 use crate::spec::{ClusterSpec, JobDetail, SchedulePolicy};
@@ -89,11 +89,6 @@ fn predict(policy: &dyn MemoryPolicy, profile: &ModelProfile) -> usize {
         .unwrap_or_else(|| profile.peak_no_checkpoint())
 }
 
-/// Headroom-discounted capacity admission gates against.
-pub(crate) fn usable_bytes(dev: &DeviceProfile, headroom: f64) -> usize {
-    (dev.total_mem_bytes as f64 * headroom) as usize
-}
-
 /// One line naming the optimization passes behind an admission number:
 /// which passes touched the graph and how far they moved the predicted
 /// peak. `None` when the raw graph could not be profiled, no pass did
@@ -141,12 +136,7 @@ pub(crate) fn submit_jobs(
 ) -> Vec<Option<Submitted>> {
     let n_jobs = spec.jobs.len();
     let mut submitted: Vec<Option<Submitted>> = Vec::with_capacity(n_jobs);
-    let max_usable = spec
-        .devices
-        .iter()
-        .map(|d| usable_bytes(d, spec.headroom))
-        .max()
-        .unwrap_or(0);
+    let max_usable = spec.devices.iter().map(usable_bytes).max().unwrap_or(0);
     let mut worst_cases: HashMap<ProfileKey, Result<WorstCase, String>> = HashMap::new();
     let mut first_batches: HashMap<ProfileKey, FirstBatch> = HashMap::new();
     for (j, job) in spec.jobs.iter().enumerate() {

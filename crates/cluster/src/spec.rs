@@ -80,9 +80,10 @@ impl Cluster {
 }
 
 /// Builder for one cluster run; see the module docs for the shape.
-/// Defaults: FIFO dispatch, threaded steps, 0.95 headroom, no faults, no
-/// recording, 3 displacement retries, BSP mode with immediate arrivals and
-/// no queue limit.
+/// Defaults: FIFO dispatch, threaded steps, no faults, no recording, 3
+/// displacement retries, BSP mode with immediate arrivals and no queue
+/// limit. Admission always plans into a fixed 95 % of each device's
+/// memory.
 pub struct ClusterBuilder {
     devices: Option<DevicePool>,
     workload: Option<Workload>,
@@ -90,7 +91,6 @@ pub struct ClusterBuilder {
     mode: Mode,
     schedule: SchedulePolicy,
     threads: usize,
-    headroom: f64,
     faults: FleetFaultPlan,
     record: bool,
     max_retries: usize,
@@ -106,7 +106,6 @@ impl Default for ClusterBuilder {
             mode: Mode::Bsp,
             schedule: SchedulePolicy::Fifo,
             threads: 0,
-            headroom: 0.95,
             faults: FleetFaultPlan::none(0),
             record: false,
             max_retries: 3,
@@ -163,14 +162,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set the admission headroom (fraction of device memory admission may
-    /// plan into).
-    #[must_use]
-    pub fn headroom(mut self, headroom: f64) -> Self {
-        self.headroom = headroom;
-        self
-    }
-
     /// Set the fleet fault plan.
     #[must_use]
     pub fn faults(mut self, faults: FleetFaultPlan) -> Self {
@@ -218,7 +209,6 @@ impl ClusterBuilder {
             devices: devices.into_devices(),
             schedule: self.schedule,
             threads: self.threads,
-            headroom: self.headroom,
             faults: self.faults,
             record: self.record,
             max_retries: self.max_retries,
@@ -289,9 +279,6 @@ pub struct ClusterSpec {
     /// value spawns one scoped thread per parked job. The report is
     /// byte-identical either way.
     pub threads: usize,
-    /// Admission headroom (fraction of device memory admission may plan
-    /// into).
-    pub headroom: f64,
     /// Per-device fault derivation (noop by default). BSP mode reads the
     /// round-indexed faults on its round clock
     /// ([`FleetFaultPlan::on_round_clock`]); event-driven mode reads the
