@@ -1,16 +1,12 @@
-//! Minimal benchmark harness exposing the slice of the Criterion API the
-//! bench targets use (`bench_function`, `benchmark_group`, `iter`,
-//! `iter_batched[_ref]`). Criterion itself is unavailable in the offline
-//! build environment; this harness keeps the targets runnable and prints
-//! median ns/iter per benchmark.
+//! The timing harness behind `bench_report`: named measurements, grouped
+//! by a name prefix, each the median ns of up to 101 samples within a
+//! 300 ms budget after 3 warm-up runs.
 //!
-//! Beyond the Criterion surface, the harness emits machine-readable results:
 //! [`Criterion::write_json`] dumps every measurement (with optional
-//! [`BenchMeta`] — problem size in blocks, allocator ops per iteration) as
-//! one JSON line, and `criterion_main!` honours two env vars:
-//! `MIMOSE_BENCH_JSON=<path>` writes the JSON there, and
-//! `MIMOSE_BENCH_SMOKE=1` shrinks sampling to a fast smoke run so CI can
-//! exercise every bench target without paying full measurement cost.
+//! [`BenchMeta`] — problem size in blocks, operations per iteration) as
+//! one JSON line. `MIMOSE_BENCH_SMOKE=1` shrinks sampling to a fast smoke
+//! run, so CI can exercise every suite without paying full measurement
+//! cost.
 
 use mimose_runtime::json::{self, Fixed};
 use std::io::Write;
@@ -18,7 +14,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// True when `MIMOSE_BENCH_SMOKE` is set (non-empty, not `0`): benches run
+/// True when `MIMOSE_BENCH_SMOKE` is set (non-empty, not `0`): suites run
 /// with minimal sampling, checking only that the code paths work.
 pub fn smoke_mode() -> bool {
     static SMOKE: OnceLock<bool> = OnceLock::new();
@@ -28,23 +24,13 @@ pub fn smoke_mode() -> bool {
 }
 
 /// Optional per-benchmark metadata carried into the JSON report.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct BenchMeta {
     /// Problem size in model blocks (planner/scheduler benches).
     pub blocks: Option<usize>,
     /// Allocator (or other) operations performed per iteration; the report
     /// derives ops/sec from this and the median iteration time.
     pub ops_per_iter: Option<u64>,
-}
-
-/// Batch-size hint (accepted for API compatibility; batches are per-call).
-#[derive(Debug, Clone, Copy, Default)]
-pub enum BatchSize {
-    /// Small per-iteration state.
-    #[default]
-    SmallInput,
-    /// Large per-iteration state.
-    LargeInput,
 }
 
 /// Per-benchmark measurement driver.
@@ -85,27 +71,12 @@ impl Bencher {
         });
     }
 
-    /// Time `routine` on a fresh value from `setup` (setup untimed).
-    pub fn iter_batched<I, O>(
-        &mut self,
-        mut setup: impl FnMut() -> I,
-        mut routine: impl FnMut(I) -> O,
-        _size: BatchSize,
-    ) {
-        self.measure(|| {
-            let input = setup();
-            let t0 = Instant::now();
-            std::hint::black_box(routine(input));
-            t0.elapsed()
-        });
-    }
-
-    /// Time `routine` on a mutable reference to a fresh value from `setup`.
+    /// Time `routine` on a mutable reference to a fresh value from `setup`
+    /// (setup untimed).
     pub fn iter_batched_ref<I, O>(
         &mut self,
         mut setup: impl FnMut() -> I,
         mut routine: impl FnMut(&mut I) -> O,
-        _size: BatchSize,
     ) {
         self.measure(|| {
             let mut input = setup();
@@ -130,28 +101,6 @@ pub struct Criterion {
 }
 
 impl Criterion {
-    /// Run one named benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        self.bench_function_with(name, BenchMeta::default(), f)
-    }
-
-    /// Run one named benchmark carrying metadata into the JSON report.
-    pub fn bench_function_with<F: FnMut(&mut Bencher)>(
-        &mut self,
-        name: &str,
-        meta: BenchMeta,
-        mut f: F,
-    ) -> &mut Self {
-        let mut b = Bencher { ns_per_iter: 0.0 };
-        f(&mut b);
-        self.entries.push(Entry {
-            name: name.to_string(),
-            ns_per_iter: b.ns_per_iter,
-            meta,
-        });
-        self
-    }
-
     /// Open a named group; member benchmarks are prefixed with the group name.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -203,63 +152,28 @@ impl Criterion {
     }
 }
 
-/// Group handle mirroring `criterion::BenchmarkGroup`.
+/// A named group: member benchmarks are prefixed with the group name.
 pub struct BenchmarkGroup<'a> {
     c: &'a mut Criterion,
     prefix: String,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Run one benchmark inside the group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        self.bench_function_with(name, BenchMeta::default(), f)
-    }
-
     /// Run one benchmark inside the group, carrying metadata into the
     /// JSON report.
     pub fn bench_function_with<F: FnMut(&mut Bencher)>(
         &mut self,
         name: &str,
         meta: BenchMeta,
-        f: F,
+        mut f: F,
     ) -> &mut Self {
-        let full = format!("{}/{}", self.prefix, name);
-        self.c.bench_function_with(&full, meta, f);
+        let mut b = Bencher { ns_per_iter: 0.0 };
+        f(&mut b);
+        self.c.entries.push(Entry {
+            name: format!("{}/{}", self.prefix, name),
+            ns_per_iter: b.ns_per_iter,
+            meta,
+        });
         self
     }
-
-    /// Close the group (no-op; kept for API compatibility).
-    pub fn finish(self) {}
-}
-
-/// Collect benchmark functions into a runner, mirroring
-/// `criterion::criterion_group!`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($f:path),+ $(,)?) => {
-        fn $name(c: &mut $crate::harness::Criterion) {
-            $( $f(c); )+
-        }
-    };
-}
-
-/// Entry point running one or more groups, mirroring
-/// `criterion::criterion_main!`. When `MIMOSE_BENCH_JSON=<path>` is set,
-/// the measurements are also written there as JSON (suite = crate name).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:ident),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::harness::Criterion::default();
-            $( $group(&mut c); )+
-            c.report();
-            if let Ok(path) = std::env::var("MIMOSE_BENCH_JSON") {
-                if !path.is_empty() {
-                    c.write_json(env!("CARGO_CRATE_NAME"), std::path::Path::new(&path))
-                        .expect("write bench JSON");
-                    eprintln!("bench JSON written to {path}");
-                }
-            }
-        }
-    };
 }

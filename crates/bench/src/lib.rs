@@ -1,10 +1,9 @@
 //! # mimose-bench
 //!
-//! Criterion benchmarks for the latency-sensitive claims of the paper:
-//! estimator fit/predict (Tables IV/V), scheduler plan generation
-//! (Table III's sub-millisecond claim), static-planner solve times
-//! (Table I), allocator throughput, and end-to-end iteration cost per
-//! planner (a micro-slice of Fig 10). Shared fixtures live here.
+//! The timed suites behind `bench_report`, the crate's one binary: planner
+//! solves (Table I's solve-time ordering and the plan-cache ladder), the
+//! arena, and the recorded block-engine iteration. Each suite writes one
+//! `BENCH_*.json` file at the repository root. Shared fixtures live here.
 
 #![warn(missing_docs)]
 
@@ -33,34 +32,6 @@ pub fn tc_bert_profile(seq: usize) -> ModelProfile {
         .expect("validates")
 }
 
-/// Shuttle-style training data: (input sizes, per-block act+out bytes).
-#[must_use]
-///
-/// # Panics
-///
-/// Panics when a synthetic input fails to profile.
-pub fn shuttle_samples(seqs: &[usize]) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let model = tc_bert_model();
-    let mut xs = Vec::new();
-    let mut per_block: Vec<Vec<f64>> = Vec::new();
-    for &s in seqs {
-        let p = model
-            .profile(&ModelInput::tokens(32, s))
-            .expect("validates");
-        if per_block.is_empty() {
-            per_block = vec![Vec::new(); p.blocks.len()];
-        }
-        xs.push(p.input_size as f64);
-        for (bi, b) in p.blocks.iter().enumerate() {
-            per_block[bi].push((b.act_bytes + b.out_bytes) as f64);
-        }
-    }
-    (xs, per_block)
-}
-
-/// The ten collection sizes used across the benches.
-pub const TEN_SEQS: [usize; 10] = [40, 60, 80, 100, 120, 150, 180, 220, 260, 300];
-
 /// Deterministic synthetic profile with `l` blocks — the scale knob for the
 /// planner hot-path benches (the BERT builders top out at a few dozen
 /// blocks; the residency engine's O(log L) advantage needs hundreds).
@@ -73,9 +44,10 @@ pub const TEN_SEQS: [usize; 10] = [40, 60, 80, 100, 120, 150, 180, 220, 260, 300
 /// (Fig 9: a block's own bit never changes its own peak candidate) no
 /// late-block checkpoint can lower it — only the small early blocks can.
 /// Greedy planners rank those last, so they lean hard on their feasibility
-/// oracle: one O(L) timeline re-walk per probe in the seed code, one
-/// O(log L) flip on the residency engine. Each block carries 4 tensor
-/// records so tensor-granular planners (MONeT) get `4·l` drop candidates.
+/// oracle: one O(L) timeline re-walk per probe with
+/// `peak_bytes_reference`, one O(log L) flip on the residency engine.
+/// Each block carries 4 tensor records so tensor-granular planners (MONeT)
+/// get `4·l` drop candidates.
 #[must_use]
 pub fn synthetic_profile(l: usize) -> ModelProfile {
     let spike = l / 8;

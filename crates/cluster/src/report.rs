@@ -8,7 +8,7 @@
 use crate::admission::AdmissionStats;
 use crate::events::{FleetEvent, FleetEventKind};
 use mimose_chaos::{DeviceFault, FleetFaultPlan, TimedDeviceFault};
-use mimose_data::ArrivalProcess;
+use mimose_data::{ArrivalProcess, LengthSampler};
 use mimose_planner::PlanTierStats;
 use mimose_runtime::json::{self, Fixed, Object};
 
@@ -289,8 +289,10 @@ pub struct ClusterReport {
     pub schedule: String,
     /// Execution mode name ("bsp" or "event-driven").
     pub mode: String,
-    /// The arrival process the run executed under, embedded so the
-    /// report is self-describing (always `Immediate` in BSP mode).
+    /// The arrival process the run executed under, embedded with every
+    /// parameter (a sampled process's gap sampler, a trace's offsets) so
+    /// the report is self-describing; floats carry the report's four
+    /// decimals. Always `Immediate` in BSP mode.
     pub arrivals: ArrivalProcess,
     /// BSP rounds (or event-loop epochs) executed.
     pub rounds: usize,
@@ -397,8 +399,8 @@ fn event_json(o: &mut Object<'_>, e: &FleetEvent) {
     o.field("cost_ns", e.cost_ns);
 }
 
-/// The arrival process as a descriptor: its kind and parameters (a trace
-/// by its length, a sampled process without its gap distribution).
+/// The arrival process as a descriptor: its kind and every parameter,
+/// including a sampled process's gap sampler and a trace's offsets.
 fn arrivals_json(o: &mut Object<'_>, arrivals: &ArrivalProcess) {
     o.field("kind", arrivals.name());
     match arrivals {
@@ -417,13 +419,54 @@ fn arrivals_json(o: &mut Object<'_>, arrivals: &ArrivalProcess) {
                 .field("mean_phase_len", mean_phase_len)
                 .field("seed", seed);
         }
-        ArrivalProcess::Sampled { unit_ns, seed, .. } => {
-            o.field("unit_ns", unit_ns).field("seed", seed);
+        ArrivalProcess::Sampled {
+            gaps,
+            unit_ns,
+            seed,
+        } => {
+            o.object("gaps", |o| sampler_json(o, gaps))
+                .field("unit_ns", unit_ns)
+                .field("seed", seed);
         }
         ArrivalProcess::Trace { offsets_ns } => {
-            o.field("len", offsets_ns.len());
+            o.field("offsets_ns", offsets_ns.as_slice());
         }
     }
+}
+
+/// A length sampler: its kind and every parameter.
+fn sampler_json(o: &mut Object<'_>, sampler: &LengthSampler) {
+    match sampler {
+        LengthSampler::Normal {
+            mu,
+            sigma,
+            min,
+            max,
+        } => o
+            .field("kind", "normal")
+            .field("mu", f4(*mu))
+            .field("sigma", f4(*sigma))
+            .field("min", min)
+            .field("max", max),
+        LengthSampler::LogNormal {
+            mu_ln,
+            sigma_ln,
+            min,
+            max,
+        } => o
+            .field("kind", "lognormal")
+            .field("mu_ln", f4(*mu_ln))
+            .field("sigma_ln", f4(*sigma_ln))
+            .field("min", min)
+            .field("max", max),
+        LengthSampler::Uniform { min, max } => o
+            .field("kind", "uniform")
+            .field("min", min)
+            .field("max", max),
+        LengthSampler::Ladder { steps } => {
+            o.field("kind", "ladder").field("steps", steps.as_slice())
+        }
+    };
 }
 
 /// The whole fault plan: the base spec, then the round-indexed and the
@@ -1097,12 +1140,12 @@ mod tests {
             .collect();
         let want = "\
             migrated 041bf52bedd6c8d7\n\
-            faulted f75f52ccd18539b9\n\
+            faulted 2f45070ba78eb546\n\
             immediate 5cad41424f05e4a4\n\
             poisson a411e463ed2c76f5\n\
             bursty 8bdae796aadc0e5f\n\
-            trace bacb33f2a390495d\n\
-            shrink 5539bf28a53213e5\n";
+            trace f6cc0e3ee2ef973b\n\
+            shrink da6141f43a008ba8\n";
         assert_eq!(
             digests, want,
             "report JSON diverged from the pinned digests"
@@ -1193,7 +1236,8 @@ mod tests {
         assert!(j.bytes().all(|b| b >= 0x20), "raw control character in {j}");
     }
 
-    /// The embedded arrival descriptors, stable field order.
+    /// The embedded arrival descriptors: every parameter of every kind,
+    /// in a stable field order.
     #[test]
     fn arrival_descriptors_are_stable() {
         let none = || FleetFaultPlan::none(0);
@@ -1204,6 +1248,35 @@ mod tests {
             "\"arrivals\":{\"kind\":\"poisson\",\"mean_gap_ns\":5,\"seed\":1},\"fault_plan\""
         ));
         assert!(arrivals(ArrivalProcess::bursty(10, 1, 4, 0)).contains("\"mean_phase_len\":4"));
+        let sampled = |gaps: LengthSampler| arrivals(ArrivalProcess::sampled(gaps, 1_000, 7));
+        assert!(sampled(LengthSampler::Normal {
+            mu: 72.0,
+            sigma: 40.5,
+            min: 35,
+            max: 141,
+        })
+        .contains(
+            "\"arrivals\":{\"kind\":\"sampled\",\"gaps\":{\"kind\":\"normal\",\"mu\":72.0000,\
+             \"sigma\":40.5000,\"min\":35,\"max\":141},\"unit_ns\":1000,\"seed\":7},\"fault_plan\""
+        ));
+        assert!(sampled(LengthSampler::LogNormal {
+            mu_ln: 3.25,
+            sigma_ln: 0.5,
+            min: 30,
+            max: 332,
+        })
+        .contains(
+            "\"gaps\":{\"kind\":\"lognormal\",\"mu_ln\":3.2500,\"sigma_ln\":0.5000,\
+             \"min\":30,\"max\":332}"
+        ));
+        assert!(sampled(LengthSampler::Uniform { min: 2, max: 4 })
+            .contains("\"gaps\":{\"kind\":\"uniform\",\"min\":2,\"max\":4}"));
+        assert!(sampled(LengthSampler::Ladder {
+            steps: vec![480, 800]
+        })
+        .contains("\"gaps\":{\"kind\":\"ladder\",\"steps\":[480,800]}"));
+        assert!(arrivals(ArrivalProcess::trace(vec![9, 3, 5]))
+            .contains("\"arrivals\":{\"kind\":\"trace\",\"offsets_ns\":[3,5,9]},\"fault_plan\""));
     }
 
     /// The embedded fault plan: base spec, round faults and timed faults,

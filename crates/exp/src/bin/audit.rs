@@ -13,7 +13,8 @@
 //! every block boundary, fed from the same stream.
 //!
 //! Output: one JSON object per diagnostic on stdout, a human summary on
-//! stderr. Pass `--errors-only` to suppress info/warning findings.
+//! stderr. Pass `--errors-only` to suppress info/warning findings; any
+//! other argument prints usage on stderr and exits 2.
 
 use mimose_audit::{
     audit_exec_events, lint_fine_plan, lint_hybrid_plan, lint_plan, lint_profile, Diagnostic,
@@ -26,6 +27,29 @@ use mimose_planner::memory_model::min_feasible_budget;
 use mimose_planner::Directive;
 use mimose_simgpu::DeviceProfile;
 
+const USAGE: &str = "\
+audit — lint every task × planner and audit its recorded event stream
+
+USAGE:
+    audit [--errors-only]
+
+OPTIONS:
+    --errors-only    print only error-severity findings (exit 1 on any)
+";
+
+/// Whether only error-severity findings are printed. `--errors-only` is
+/// the one argument; anything else is an error.
+fn parse(args: &[String]) -> Result<bool, String> {
+    let mut errors_only = false;
+    for arg in args {
+        match arg.as_str() {
+            "--errors-only" => errors_only = true,
+            other => return Err(format!("unknown option '{other}'")),
+        }
+    }
+    Ok(errors_only)
+}
+
 /// Unconstrained arena for trace collection: plan feasibility is judged
 /// analytically by the linter, not by OOMing the engine.
 const TRACE_CAPACITY: usize = 64 << 30;
@@ -37,7 +61,12 @@ fn all_kinds() -> Vec<PlannerKind> {
 }
 
 fn main() {
-    let errors_only = std::env::args().any(|a| a == "--errors-only");
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let errors_only = parse(&raw).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n");
+        eprint!("{USAGE}");
+        std::process::exit(2);
+    });
     let dev = DeviceProfile::v100();
     let mut diags: Vec<Diagnostic> = Vec::new();
 
@@ -126,5 +155,25 @@ fn main() {
     );
     if errors > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn v(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn errors_only_is_the_one_argument() {
+        assert_eq!(parse(&v(&[])), Ok(false));
+        assert_eq!(parse(&v(&["--errors-only"])), Ok(true));
+        assert_eq!(
+            parse(&v(&["--errors-onyl"])),
+            Err("unknown option '--errors-onyl'".into())
+        );
+        assert!(parse(&v(&["--errors-only", "TC-Bert"])).is_err());
     }
 }

@@ -9,7 +9,8 @@
 //!   `\u00xx`); everything else passes through;
 //! - floats at a fixed precision ([`Fixed`]), so two runs with the same
 //!   seed serialize byte-identically; a non-finite float is `null`;
-//! - `None` is `null`.
+//! - `None` is `null`;
+//! - a slice of values is an array of them.
 //!
 //! Objects and arrays are written by closures, so the writer places every
 //! comma and bracket and the caller cannot unbalance them.
@@ -36,7 +37,8 @@
 use std::fmt::Write as _;
 
 /// A value the writer can place: unsigned integers, `bool`, strings,
-/// [`Fixed`] floats, references to these, and `Option`s of them.
+/// [`Fixed`] floats, references to these, and `Option`s and slices of
+/// them.
 pub trait JsonValue {
     /// Append this value's JSON text to `out`.
     fn write_json(&self, out: &mut String);
@@ -88,6 +90,19 @@ impl<T: JsonValue> JsonValue for Option<T> {
             Some(v) => v.write_json(out),
             None => out.push_str("null"),
         }
+    }
+}
+
+impl<T: JsonValue> JsonValue for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
     }
 }
 
@@ -259,11 +274,13 @@ mod tests {
                 })
                 .field("big", u128::MAX)
                 .field("owned", String::from("x"))
-                .field("opt", Some("y"));
+                .field("opt", Some("y"))
+                .field("ints", &[1u64, 2, 3][..])
+                .field("no_ints", &[] as &[usize]);
         });
         assert_eq!(
             doc,
-            r#"{"empty":[],"nested":{"t":true,"f":false},"rows":[{"k":1},{}],"some":{"v":7},"none":null,"big":340282366920938463463374607431768211455,"owned":"x","opt":"y"}"#
+            r#"{"empty":[],"nested":{"t":true,"f":false},"rows":[{"k":1},{}],"some":{"v":7},"none":null,"big":340282366920938463463374607431768211455,"owned":"x","opt":"y","ints":[1,2,3],"no_ints":[]}"#
         );
     }
 

@@ -6,11 +6,13 @@
 //! All cases are seeded-deterministic (see `mimose::rng`), so failures
 //! reproduce exactly.
 
-use mimose::models::{BlockProfile, ModelInput, ModelProfile};
+use mimose::core::{GreedyBucketScheduler, KnapsackScheduler, Scheduler};
+use mimose::models::{BlockProfile, ModelInput, ModelProfile, TensorRecord};
+use mimose::ops::OpCategory;
 use mimose::planner::memory_model::{
     peak_bytes_fine_reference, peak_bytes_reference, recompute_flops, FinePlan,
 };
-use mimose::planner::{CheckpointPlan, ResidencyModel};
+use mimose::planner::{CheckpointPlan, MonetPolicy, ResidencyModel};
 use mimose::rng::{Rng, SeedableRng, StdRng};
 
 /// A random synthetic profile: `n` blocks with independently drawn tensor
@@ -259,4 +261,137 @@ fn apply_batch_matches_singles_and_commit_seals() {
         assert!(!batched.undo(), "commit must clear the journal");
         assert_eq!(batched.peak(), sealed);
     }
+}
+
+/// `p` with each block's activation bytes split into one to four tensor
+/// records, so MONeT has drop candidates.
+fn with_tensors(rng: &mut StdRng, mut p: ModelProfile) -> ModelProfile {
+    for b in &mut p.blocks {
+        let k = rng.gen_range(1usize..=4);
+        let mut left = b.act_bytes;
+        b.tensors = (0..k)
+            .map(|t| {
+                let bytes = if t + 1 == k {
+                    left
+                } else {
+                    rng.gen_range(0..=left)
+                };
+                left -= bytes;
+                TensorRecord {
+                    bytes,
+                    fwd_flops: rng.gen_range(0.0..1e11),
+                    category: OpCategory::ImplicitReduction,
+                }
+            })
+            .collect();
+    }
+    p
+}
+
+/// The planner bench's adversarial shape: activations ramping from 2 to
+/// 31 MiB along the timeline with KiB jitter, one ~4 GiB attention spike
+/// at block `l/8`, and four tensor records per block. Under a near-floor
+/// budget the peak sits at the spike and only the small early blocks can
+/// lower it, so the greedy planners lean hardest on their feasibility
+/// checks here.
+fn spiked_profile(l: usize) -> ModelProfile {
+    let blocks = (0..l)
+        .map(|i| {
+            let act_bytes = if i == l / 8 {
+                4 << 30
+            } else {
+                ((2 + (29 * i) / l) << 20) + (((i * 7919) % 17) << 10)
+            };
+            let out_bytes = (1 << 20) + (((i * 104_729) % 3) << 19);
+            let fwd_flops = 1e9 + (i % 17) as f64 * 1e8;
+            BlockProfile {
+                name: format!("syn{i}"),
+                stage: 0,
+                index: i,
+                act_bytes,
+                out_bytes,
+                in_bytes: out_bytes,
+                fwd_flops,
+                bwd_flops: 2.0 * fwd_flops,
+                fwd_bytes_moved: act_bytes / 2,
+                tensors: (0..4)
+                    .map(|t| TensorRecord {
+                        bytes: act_bytes / 4 + t * 4096,
+                        fwd_flops: fwd_flops / 4.0,
+                        category: OpCategory::ImplicitReduction,
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    ModelProfile {
+        model: format!("spiked-{l}"),
+        input: ModelInput::tokens(1, l),
+        input_size: l,
+        blocks,
+        const_bytes: 2 << 30,
+        param_count: 0,
+        input_bytes: 8 << 20,
+    }
+}
+
+/// Every plan the greedy bucket, knapsack and MONeT planners return fits
+/// its budget by the O(L) reference walks, whenever some plan can: the
+/// all-checkpoint plan for the block planners, the plan with every tensor
+/// dropped for MONeT. Budgets run from the all-checkpoint peak to the
+/// no-checkpoint peak, through the near-floor point the planner bench
+/// times (1/256 of the way up) and random points between.
+#[test]
+fn planners_fit_every_budget_a_plan_can_meet() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0007);
+    let mut profiles: Vec<ModelProfile> = (0..150)
+        .map(|_| {
+            let n = rng.gen_range(1usize..96);
+            let p = random_profile(&mut rng, n);
+            with_tensors(&mut rng, p)
+        })
+        .collect();
+    profiles.extend([spiked_profile(512), spiked_profile(1024)]);
+    let greedy = GreedyBucketScheduler::new(0.10);
+    let mut monet_checks = 0usize;
+    for p in &profiles {
+        let n = p.blocks.len();
+        let floor = peak_bytes_reference(p, &CheckpointPlan::all(n));
+        let top = peak_bytes_reference(p, &CheckpointPlan::none(n));
+        assert!(floor <= top, "checkpointing raised the peak of {}", p.model);
+        let mut every_tensor_dropped = FinePlan::none(n);
+        for (i, b) in p.blocks.iter().enumerate() {
+            every_tensor_dropped.dropped_bytes[i] = b.tensors.iter().map(|t| t.bytes).sum();
+        }
+        let fine_floor = peak_bytes_fine_reference(p, &every_tensor_dropped);
+        let mut budgets = vec![floor, floor + (top - floor) / 256, top];
+        budgets.extend((0..4).map(|_| rng.gen_range(floor..=top)));
+        for budget in budgets {
+            for (name, plan) in [
+                ("greedy", greedy.schedule(p, budget)),
+                ("knapsack", KnapsackScheduler.schedule(p, budget)),
+            ] {
+                let peak = peak_bytes_reference(p, &plan);
+                assert!(
+                    peak <= budget,
+                    "{name} plan peaks at {peak} B over the {budget} B budget on {} ({n} blocks)",
+                    p.model
+                );
+            }
+            if fine_floor <= budget {
+                monet_checks += 1;
+                let monet = MonetPolicy::plan_offline(p, budget);
+                let peak = peak_bytes_fine_reference(p, monet.plan());
+                assert!(
+                    monet.is_feasible() && peak <= budget,
+                    "MONeT plan peaks at {peak} B over the {budget} B budget on {} ({n} blocks)",
+                    p.model
+                );
+            }
+        }
+    }
+    assert!(
+        monet_checks >= 500,
+        "only {monet_checks} MONeT budgets checked"
+    );
 }
