@@ -4,16 +4,14 @@
 //! re-derivations of properties the rest of the workspace is supposed to
 //! maintain, reported as structured [`Diagnostic`]s with JSON output.
 //!
-//! Five passes:
+//! The passes:
 //!
-//! * [`audit_trace`] — replay an arena [`TraceEvent`](mimose_simgpu::TraceEvent)
-//!   stream through a shadow allocator and catch double-frees, overlapping
-//!   live ranges, missed coalescing / spurious OOMs, compaction accounting
-//!   errors, and `ArenaStats` divergence;
-//! * [`audit_exec_events`] — the same scrutiny applied to a recorded
+//! * [`audit_exec_events`] — the one audit of a recorded
 //!   [`ExecEvent`](mimose_runtime::ExecEvent) stream from either engine:
-//!   its allocator projection goes through the shadow replay and its
-//!   embedded recovery events through the ladder lint;
+//!   its allocator events go through a shadow allocator that catches
+//!   double-frees, overlapping live ranges, missed coalescing / spurious
+//!   OOMs, compaction accounting errors and `ArenaStats` divergence, and
+//!   its embedded recovery events through the ladder lint;
 //! * [`lint_plan`] / [`lint_fine_plan`] / [`lint_hybrid_plan`] — static
 //!   checks of checkpoint plans against a model profile and a byte budget;
 //! * [`lint_profile`] — well-formedness of the profile itself (block chain,
@@ -60,4 +58,3 @@ pub use lint::{lint_fine_plan, lint_hybrid_plan, lint_plan};
 pub use profile::lint_profile;
 pub use recovery::lint_recovery_trace;
 pub use statics::{lint_optimized_graph, lint_plan_schedule, lint_schedule};
-pub use trace::audit_trace;

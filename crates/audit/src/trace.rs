@@ -1,6 +1,9 @@
-//! Allocator-trace auditing: replay a [`TraceEvent`] stream through an
-//! independent shadow allocator and cross-check every invariant the arena
-//! is supposed to maintain.
+//! Allocator auditing: replay the allocator events of a recorded
+//! [`ExecEvent`] stream (`Alloc`, `Free`, `Oom`, `InjectedOom`, `Compact`)
+//! through an independent shadow allocator and cross-check every invariant
+//! the arena is supposed to maintain. Every other event (clock charges,
+//! plan changes, recovery rungs, boundaries) leaves the arena alone and is
+//! skipped.
 //!
 //! The shadow keeps only the live address ranges, reconstructing the free
 //! list as the complement of the live set — so it shares no code (and no
@@ -10,10 +13,12 @@
 //! * **double-free / foreign free** — freeing an id that is not live;
 //! * **use-after-free id reuse** — an id handed out twice;
 //! * **overlapping live ranges** — two allocations sharing bytes;
-//! * **out-of-bounds / misaligned carves**;
-//! * **missed coalescing / spurious OOM** — the arena reported failure (or
-//!   a `largest_free`) inconsistent with the true gap structure of the
-//!   address space, which is exactly what broken coalescing looks like;
+//! * **out-of-bounds / misaligned / mis-sized carves**;
+//! * **free metadata** — a free naming another range than the id's carve;
+//! * **OOM accounting, missed coalescing, spurious OOM** — the arena
+//!   reported a failure, a `free_bytes` or a `largest_free` inconsistent
+//!   with the true gap structure of the address space, which is exactly
+//!   what broken coalescing looks like;
 //! * **compaction accounting** — a `Compact` event's reported moved-byte
 //!   count disagrees with the slide the live set actually requires;
 //! * **stats divergence** — recomputed `peak_used` / `peak_frag` /
@@ -21,8 +26,8 @@
 //!   with the arena's own [`ArenaStats`].
 
 use crate::diag::Diagnostic;
-use mimose_runtime::align_up;
-use mimose_simgpu::{ArenaStats, TraceEvent, ARENA_ALIGN};
+use mimose_runtime::{align_up, ExecEvent};
+use mimose_simgpu::{ArenaStats, ARENA_ALIGN};
 use std::collections::{BTreeMap, HashSet};
 
 /// Shadow replay state: live ranges indexed both ways, plus recomputed
@@ -80,49 +85,50 @@ impl Shadow {
     }
 }
 
-/// Replay `events` against an arena of `capacity` bytes and report every
-/// violated invariant. When `stats` is given, the recomputed statistics
-/// must match it field for field.
+/// Replay the allocator events of `events` against an arena of `capacity`
+/// bytes and report every violated invariant, each under the subject
+/// `event N`, where `N` indexes `events`. When `stats` is given, the
+/// recomputed statistics must match it field for field.
 ///
-/// Leaked allocations at the end of the trace are reported at info
+/// Leaked allocations at the end of the stream are reported at info
 /// severity: engines legitimately end an iteration with the constant
 /// footprint still live.
-#[must_use]
-pub fn audit_trace(
+pub(crate) fn shadow_replay(
     capacity: usize,
-    events: &[TraceEvent],
+    events: &[ExecEvent],
     stats: Option<&ArenaStats>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut s = Shadow::new(capacity);
 
     for (ev_idx, ev) in events.iter().enumerate() {
-        let subject = format!("event {ev_idx}");
+        let subject = || format!("event {ev_idx}");
         match *ev {
-            TraceEvent::Alloc {
+            ExecEvent::Alloc {
                 id,
                 offset,
                 size,
                 requested,
+                ..
             } => {
                 let raw = id.raw();
                 if s.by_id.contains_key(&raw) {
                     diags.push(Diagnostic::error(
                         "alloc-id-reuse",
-                        subject.clone(),
+                        subject(),
                         format!("id {raw} allocated while already live"),
                     ));
                 } else if s.issued.contains(&raw) {
                     diags.push(Diagnostic::error(
                         "alloc-id-reuse",
-                        subject.clone(),
+                        subject(),
                         format!("id {raw} reissued after being freed (dangling-handle hazard)"),
                     ));
                 }
                 if offset % ARENA_ALIGN != 0 || size % ARENA_ALIGN != 0 {
                     diags.push(Diagnostic::error(
                         "misaligned-carve",
-                        subject.clone(),
+                        subject(),
                         format!(
                             "range [{offset}, {}) not aligned to {ARENA_ALIGN} B",
                             offset + size
@@ -132,7 +138,7 @@ pub fn audit_trace(
                 if offset + size > capacity {
                     diags.push(Diagnostic::error(
                         "out-of-bounds",
-                        subject.clone(),
+                        subject(),
                         format!(
                             "range [{offset}, {}) exceeds capacity {capacity}",
                             offset + size
@@ -142,7 +148,7 @@ pub fn audit_trace(
                 if size != align_up(requested) {
                     diags.push(Diagnostic::error(
                         "size-mismatch",
-                        subject.clone(),
+                        subject(),
                         format!(
                             "carved {size} B for a {requested} B request (expected {} B)",
                             align_up(requested)
@@ -154,7 +160,7 @@ pub fn audit_trace(
                     if poff + psize > offset {
                         diags.push(Diagnostic::error(
                             "overlapping-live-ranges",
-                            subject.clone(),
+                            subject(),
                             format!(
                                 "[{offset}, {}) overlaps live id {pid} at [{poff}, {})",
                                 offset + size,
@@ -167,7 +173,7 @@ pub fn audit_trace(
                     if offset + size > noff {
                         diags.push(Diagnostic::error(
                             "overlapping-live-ranges",
-                            subject.clone(),
+                            subject(),
                             format!(
                                 "[{offset}, {}) overlaps live id {nid} at [{noff}, {})",
                                 offset + size,
@@ -188,20 +194,20 @@ pub fn audit_trace(
                 s.stats.peak_extent = s.stats.peak_extent.max(offset + size);
                 s.stats.peak_footprint = s.stats.peak_footprint.max(s.used + s.frag());
             }
-            TraceEvent::Free { id, offset, size } => {
+            ExecEvent::Free { id, offset, size } => {
                 let raw = id.raw();
                 match s.by_id.remove(&raw) {
                     None => {
                         if s.freed.contains(&raw) {
                             diags.push(Diagnostic::error(
                                 "double-free",
-                                subject.clone(),
+                                subject(),
                                 format!("id {raw} freed again after an earlier free"),
                             ));
                         } else {
                             diags.push(Diagnostic::error(
                                 "foreign-free",
-                                subject.clone(),
+                                subject(),
                                 format!("free of id {raw} that was never allocated"),
                             ));
                         }
@@ -210,7 +216,7 @@ pub fn audit_trace(
                         if live_off != offset || live_size != size {
                             diags.push(Diagnostic::error(
                                 "free-metadata-mismatch",
-                                subject.clone(),
+                                subject(),
                                 format!(
                                     "id {raw} freed as [{offset}, {}) but was carved at [{live_off}, {})",
                                     offset + size,
@@ -226,10 +232,11 @@ pub fn audit_trace(
                 }
                 s.freed.insert(raw);
             }
-            TraceEvent::Oom {
+            ExecEvent::Oom {
                 requested,
                 free_bytes,
                 largest_free,
+                ..
             } => {
                 s.stats.oom_events += 1;
                 let true_free = s.free_bytes();
@@ -237,7 +244,7 @@ pub fn audit_trace(
                 if free_bytes != true_free {
                     diags.push(Diagnostic::error(
                         "oom-accounting",
-                        subject.clone(),
+                        subject(),
                         format!(
                             "OOM reported {free_bytes} B free but the live set leaves {true_free} B"
                         ),
@@ -246,7 +253,7 @@ pub fn audit_trace(
                 if largest_free != true_largest {
                     diags.push(Diagnostic::error(
                         "missed-coalescing",
-                        subject.clone(),
+                        subject(),
                         format!(
                             "OOM reported largest contiguous range {largest_free} B but the \
                              address space has a {true_largest} B gap — the free list is not \
@@ -257,7 +264,7 @@ pub fn audit_trace(
                 if requested <= true_largest {
                     diags.push(Diagnostic::error(
                         "spurious-oom",
-                        subject,
+                        subject(),
                         format!(
                             "OOM for a {requested} B request although a {true_largest} B \
                              contiguous gap exists"
@@ -265,13 +272,13 @@ pub fn audit_trace(
                     ));
                 }
             }
-            TraceEvent::InjectedOom { requested: _ } => {
+            ExecEvent::InjectedOom { .. } => {
                 // A fault-injection artefact, not an allocator decision: the
                 // arena state is untouched, so there is nothing to check —
                 // only the counter to mirror.
                 s.stats.injected_ooms += 1;
             }
-            TraceEvent::Compact { moved } => {
+            ExecEvent::Compact { moved } => {
                 // Mirror the arena's deterministic slide: live ranges keep
                 // their address order and pack from offset 0. The arena
                 // reports the total bytes it copied; recompute that figure
@@ -292,7 +299,7 @@ pub fn audit_trace(
                 if shadow_moved != moved {
                     diags.push(Diagnostic::error(
                         "compact-accounting",
-                        subject.clone(),
+                        subject(),
                         format!(
                             "compaction reported {moved} B moved but the live set \
                              requires moving {shadow_moved} B"
@@ -301,11 +308,9 @@ pub fn audit_trace(
                 }
                 s.stats.compactions += 1;
             }
-            TraceEvent::Reset => {
-                s.by_id.clear();
-                s.by_offset.clear();
-                s.used = 0;
-            }
+            // Clock charges, plan changes, recovery rungs and boundaries
+            // leave the arena alone.
+            _ => {}
         }
     }
 
@@ -368,38 +373,67 @@ pub fn audit_trace(
 mod tests {
     use super::*;
     use crate::diag::has_errors;
-    use mimose_simgpu::{AllocId, Arena};
+    use mimose_chaos::IterationFaults;
+    use mimose_runtime::{EngineCore, EventLog};
+    use mimose_simgpu::{AllocId, DeviceProfile};
 
-    fn ev_alloc(id: u64, offset: usize, requested: usize) -> TraceEvent {
-        TraceEvent::Alloc {
+    /// Drive `script` on an [`EngineCore`] over a fresh `capacity`-byte
+    /// arena (with `faults` armed) and return the recorded stream and the
+    /// arena's statistics.
+    fn record(
+        capacity: usize,
+        faults: Option<&IterationFaults>,
+        script: impl FnOnce(&mut EngineCore<'_>),
+    ) -> (Vec<ExecEvent>, ArenaStats) {
+        let dev = DeviceProfile::v100();
+        let mut log = EventLog::new();
+        let stats = {
+            let mut core = EngineCore::new(capacity, &dev, &mut log);
+            core.arm_faults(faults);
+            script(&mut core);
+            core.arena.stats()
+        };
+        (log.events, stats)
+    }
+
+    fn ev_alloc(id: u64, offset: usize, requested: usize) -> ExecEvent {
+        ExecEvent::Alloc {
             id: AllocId::from_raw(id),
             offset,
             size: align_up(requested),
             requested,
+            phase: "forward",
         }
     }
 
-    fn ev_free(id: u64, offset: usize, requested: usize) -> TraceEvent {
-        TraceEvent::Free {
+    fn ev_free(id: u64, offset: usize, requested: usize) -> ExecEvent {
+        ExecEvent::Free {
             id: AllocId::from_raw(id),
             offset,
             size: align_up(requested),
         }
     }
 
+    fn checks<'d>(diags: &'d [Diagnostic], check: &str) -> Vec<&'d Diagnostic> {
+        diags.iter().filter(|d| d.check == check).collect()
+    }
+
     #[test]
-    fn clean_arena_trace_is_clean() {
-        let mut a = Arena::new(1 << 20);
-        a.set_tracing(true);
-        let x = a.alloc(1000).unwrap();
-        let y = a.alloc(5000).unwrap();
-        a.free(x);
-        let z = a.alloc(700).unwrap();
-        a.free(y);
-        a.free(z);
-        let stats = a.stats();
-        let diags = audit_trace(a.capacity(), &a.take_trace(), Some(&stats));
-        assert!(!has_errors(&diags), "{diags:?}");
+    fn clean_recorded_stream_is_clean() {
+        let (events, stats) = record(1 << 20, None, |core| {
+            let x = core.try_alloc(1000, "forward").unwrap();
+            core.charge_compute(10);
+            let y = core.try_alloc(5000, "forward").unwrap();
+            core.free(x);
+            let z = core.try_alloc(700, "backward").unwrap();
+            core.charge_recompute(3.0);
+            core.free(y);
+            core.free(z);
+        });
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, ExecEvent::Compute { .. })));
+        let diags = shadow_replay(1 << 20, &events, Some(&stats));
         assert!(
             diags.is_empty(),
             "all freed, so not even a leak note: {diags:?}"
@@ -407,36 +441,154 @@ mod tests {
     }
 
     #[test]
-    fn oom_and_reset_replay_cleanly() {
-        let mut a = Arena::new(4096);
-        a.set_tracing(true);
-        let _x = a.alloc(4096).unwrap();
-        assert!(a.alloc(1).is_err());
-        a.reset();
-        let _y = a.alloc(512).unwrap();
-        let stats = a.stats();
-        let diags = audit_trace(a.capacity(), &a.take_trace(), Some(&stats));
+    fn oom_replays_cleanly() {
+        let (events, stats) = record(4096, None, |core| {
+            let x = core.try_alloc(4096, "forward").unwrap();
+            assert!(core.try_alloc(1, "forward").is_err());
+            core.free(x);
+            let _y = core.try_alloc(512, "forward").unwrap();
+        });
+        assert_eq!(stats.oom_events, 1);
+        let diags = shadow_replay(4096, &events, Some(&stats));
+        assert!(!has_errors(&diags), "{diags:?}");
+    }
+
+    #[test]
+    fn compact_and_injected_failures_replay_cleanly() {
+        let faults = IterationFaults {
+            fail_allocs: vec![3],
+            ..IterationFaults::identity()
+        };
+        let (events, stats) = record(1 << 20, Some(&faults), |core| {
+            let x = core.try_alloc(1000, "forward").unwrap();
+            let y = core.try_alloc(5000, "forward").unwrap();
+            assert!(core.try_alloc(700, "forward").is_err(), "attempt 3 fails");
+            core.free(x);
+            assert!(core.compact() > 0, "y slides down over x's hole");
+            let z = core.try_alloc(700, "forward").unwrap();
+            core.free(y);
+            core.free(z);
+        });
+        assert_eq!(stats.compactions, 1);
+        assert_eq!(stats.injected_ooms, 1);
+        let diags = shadow_replay(1 << 20, &events, Some(&stats));
         assert!(!has_errors(&diags), "{diags:?}");
     }
 
     #[test]
     fn double_free_is_an_error() {
         let events = [ev_alloc(0, 0, 512), ev_free(0, 0, 512), ev_free(0, 0, 512)];
-        let diags = audit_trace(4096, &events, None);
-        assert!(diags.iter().any(|d| d.check == "double-free"), "{diags:?}");
+        let diags = shadow_replay(4096, &events, None);
+        let found = checks(&diags, "double-free");
+        assert_eq!(found.len(), 1, "{diags:?}");
+        assert_eq!(found[0].subject, "event 2");
         assert!(has_errors(&diags));
     }
 
     #[test]
     fn foreign_free_is_distinguished_from_double_free() {
-        let diags = audit_trace(4096, &[ev_free(9, 0, 512)], None);
-        assert!(diags.iter().any(|d| d.check == "foreign-free"), "{diags:?}");
+        let diags = shadow_replay(4096, &[ev_free(9, 0, 512)], None);
+        assert_eq!(checks(&diags, "foreign-free").len(), 1, "{diags:?}");
+        assert!(checks(&diags, "double-free").is_empty());
+    }
+
+    #[test]
+    fn subjects_index_the_whole_stream() {
+        let events = [
+            ExecEvent::Compute { ns: 1 },
+            ev_alloc(0, 0, 512),
+            ExecEvent::Boundary {
+                phase: "forward",
+                index: Some(0),
+                live_hint: None,
+            },
+            ev_free(7, 0, 512),
+        ];
+        let diags = shadow_replay(4096, &events, None);
+        let found = checks(&diags, "foreign-free");
+        assert_eq!(found.len(), 1, "{diags:?}");
+        assert_eq!(found[0].subject, "event 3");
+    }
+
+    #[test]
+    fn id_reuse_while_live_is_an_error() {
+        let events = [ev_alloc(4, 0, 512), ev_alloc(4, 512, 512)];
+        let diags = shadow_replay(4096, &events, None);
+        let found = checks(&diags, "alloc-id-reuse");
+        assert_eq!(found.len(), 1, "{diags:?}");
+        assert_eq!(found[0].message, "id 4 allocated while already live");
+    }
+
+    #[test]
+    fn id_reissued_after_free_is_an_error() {
+        let events = [ev_alloc(4, 0, 512), ev_free(4, 0, 512), ev_alloc(4, 0, 512)];
+        let diags = shadow_replay(4096, &events, None);
+        let found = checks(&diags, "alloc-id-reuse");
+        assert_eq!(found.len(), 1, "{diags:?}");
+        assert_eq!(
+            found[0].message,
+            "id 4 reissued after being freed (dangling-handle hazard)"
+        );
+    }
+
+    #[test]
+    fn carve_size_must_be_the_aligned_request() {
+        let events = [ExecEvent::Alloc {
+            id: AllocId::from_raw(0),
+            offset: 0,
+            size: 512,
+            requested: 600, // needs 1024 B
+            phase: "forward",
+        }];
+        let diags = shadow_replay(4096, &events, None);
+        let found = checks(&diags, "size-mismatch");
+        assert_eq!(found.len(), 1, "{diags:?}");
+        assert_eq!(
+            found[0].message,
+            "carved 512 B for a 600 B request (expected 1024 B)"
+        );
+    }
+
+    #[test]
+    fn free_must_name_the_carved_range() {
+        let events = [ev_alloc(0, 1024, 512), ev_free(0, 0, 512)];
+        let diags = shadow_replay(4096, &events, None);
+        let found = checks(&diags, "free-metadata-mismatch");
+        assert_eq!(found.len(), 1, "{diags:?}");
+        assert_eq!(
+            found[0].message,
+            "id 0 freed as [0, 512) but was carved at [1024, 1536)"
+        );
+    }
+
+    #[test]
+    fn oom_free_bytes_must_match_the_live_set() {
+        // One 512 B allocation live in a 1024 B arena: 512 B free, all of
+        // it in one gap, so a 1024 B request genuinely fails.
+        let events = [
+            ev_alloc(0, 0, 512),
+            ExecEvent::Oom {
+                requested: 1024,
+                free_bytes: 1024, // the arena forgot the live allocation
+                largest_free: 512,
+                phase: "forward",
+            },
+        ];
+        let diags = shadow_replay(1024, &events, None);
+        let found = checks(&diags, "oom-accounting");
+        assert_eq!(found.len(), 1, "{diags:?}");
+        assert_eq!(
+            found[0].message,
+            "OOM reported 1024 B free but the live set leaves 512 B"
+        );
+        assert!(checks(&diags, "spurious-oom").is_empty(), "{diags:?}");
+        assert!(checks(&diags, "missed-coalescing").is_empty(), "{diags:?}");
     }
 
     #[test]
     fn overlapping_ranges_detected() {
         let events = [ev_alloc(0, 0, 1024), ev_alloc(1, 512, 1024)];
-        let diags = audit_trace(1 << 20, &events, None);
+        let diags = shadow_replay(1 << 20, &events, None);
         assert!(
             diags.iter().any(|d| d.check == "overlapping-live-ranges"),
             "{diags:?}"
@@ -449,13 +601,14 @@ mod tests {
         let events = [
             ev_alloc(0, 0, 512),
             ev_alloc(1, 1536, 512),
-            TraceEvent::Oom {
+            ExecEvent::Oom {
                 requested: 1024,
                 free_bytes: 3072,
                 largest_free: 512, // arena claims the gap is only 512 B
+                phase: "forward",
             },
         ];
-        let diags = audit_trace(4096, &events, None);
+        let diags = shadow_replay(4096, &events, None);
         assert!(
             diags.iter().any(|d| d.check == "missed-coalescing"),
             "{diags:?}"
@@ -465,13 +618,12 @@ mod tests {
 
     #[test]
     fn stats_divergence_detected() {
-        let mut a = Arena::new(1 << 20);
-        a.set_tracing(true);
-        let x = a.alloc(1000).unwrap();
-        a.free(x);
-        let mut stats = a.stats();
+        let (events, mut stats) = record(1 << 20, None, |core| {
+            let x = core.try_alloc(1000, "forward").unwrap();
+            core.free(x);
+        });
         stats.peak_used += 512; // tamper
-        let diags = audit_trace(a.capacity(), &a.take_trace(), Some(&stats));
+        let diags = shadow_replay(1 << 20, &events, Some(&stats));
         assert!(
             diags
                 .iter()
@@ -482,30 +634,9 @@ mod tests {
 
     #[test]
     fn leak_is_reported_at_info_only() {
-        let diags = audit_trace(4096, &[ev_alloc(0, 0, 512)], None);
+        let diags = shadow_replay(4096, &[ev_alloc(0, 0, 512)], None);
         assert!(!has_errors(&diags));
         assert!(diags.iter().any(|d| d.check == "live-at-end"));
-    }
-
-    #[test]
-    fn compact_and_injected_failures_replay_cleanly() {
-        let mut a = Arena::new(1 << 20);
-        a.set_tracing(true);
-        a.set_spurious_failures(&[3]);
-        let x = a.alloc(1000).unwrap();
-        let y = a.alloc(5000).unwrap();
-        assert!(a.alloc(700).is_err(), "attempt 3 is armed to fail");
-        a.free(x);
-        let moved = a.compact();
-        assert!(moved > 0, "y slides down over x's hole");
-        let z = a.alloc(700).unwrap();
-        a.free(y);
-        a.free(z);
-        let stats = a.stats();
-        assert_eq!(stats.compactions, 1);
-        assert_eq!(stats.injected_ooms, 1);
-        let diags = audit_trace(a.capacity(), &a.take_trace(), Some(&stats));
-        assert!(!has_errors(&diags), "{diags:?}");
     }
 
     #[test]
@@ -515,9 +646,9 @@ mod tests {
         let events = [
             ev_alloc(0, 0, 512),
             ev_alloc(1, 1024, 512),
-            TraceEvent::Compact { moved: 5 },
+            ExecEvent::Compact { moved: 5 },
         ];
-        let diags = audit_trace(4096, &events, None);
+        let diags = shadow_replay(4096, &events, None);
         assert!(
             diags.iter().any(|d| d.check == "compact-accounting"),
             "{diags:?}"
@@ -527,15 +658,16 @@ mod tests {
     #[test]
     fn out_of_bounds_and_misalignment_detected() {
         let events = [
-            TraceEvent::Alloc {
+            ExecEvent::Alloc {
                 id: AllocId::from_raw(0),
                 offset: 100, // unaligned
                 size: 512,
                 requested: 512,
+                phase: "forward",
             },
             ev_alloc(1, 4096, 512), // beyond a 4096 B arena
         ];
-        let diags = audit_trace(4096, &events, None);
+        let diags = shadow_replay(4096, &events, None);
         assert!(
             diags.iter().any(|d| d.check == "misaligned-carve"),
             "{diags:?}"

@@ -10,7 +10,7 @@ use crate::events::{FleetEvent, FleetEventKind};
 use mimose_chaos::{DeviceFault, FleetFaultPlan, TimedDeviceFault};
 use mimose_data::{ArrivalProcess, LengthSampler};
 use mimose_planner::PlanTierStats;
-use mimose_runtime::json::{self, Fixed, Object};
+use mimose_runtime::json::{self, Exact, Fixed, Object};
 
 /// How a job's cluster run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -434,7 +434,9 @@ fn arrivals_json(o: &mut Object<'_>, arrivals: &ArrivalProcess) {
     }
 }
 
-/// A length sampler: its kind and every parameter.
+/// A length sampler: its kind and every parameter. Float parameters are
+/// written [`Exact`], so a run rebuilt from the report draws from the same
+/// distribution.
 fn sampler_json(o: &mut Object<'_>, sampler: &LengthSampler) {
     match sampler {
         LengthSampler::Normal {
@@ -444,8 +446,8 @@ fn sampler_json(o: &mut Object<'_>, sampler: &LengthSampler) {
             max,
         } => o
             .field("kind", "normal")
-            .field("mu", f4(*mu))
-            .field("sigma", f4(*sigma))
+            .field("mu", Exact(*mu))
+            .field("sigma", Exact(*sigma))
             .field("min", min)
             .field("max", max),
         LengthSampler::LogNormal {
@@ -455,8 +457,8 @@ fn sampler_json(o: &mut Object<'_>, sampler: &LengthSampler) {
             max,
         } => o
             .field("kind", "lognormal")
-            .field("mu_ln", f4(*mu_ln))
-            .field("sigma_ln", f4(*sigma_ln))
+            .field("mu_ln", Exact(*mu_ln))
+            .field("sigma_ln", Exact(*sigma_ln))
             .field("min", min)
             .field("max", max),
         LengthSampler::Uniform { min, max } => o
@@ -1256,8 +1258,8 @@ mod tests {
             max: 141,
         })
         .contains(
-            "\"arrivals\":{\"kind\":\"sampled\",\"gaps\":{\"kind\":\"normal\",\"mu\":72.0000,\
-             \"sigma\":40.5000,\"min\":35,\"max\":141},\"unit_ns\":1000,\"seed\":7},\"fault_plan\""
+            "\"arrivals\":{\"kind\":\"sampled\",\"gaps\":{\"kind\":\"normal\",\"mu\":72,\
+             \"sigma\":40.5,\"min\":35,\"max\":141},\"unit_ns\":1000,\"seed\":7},\"fault_plan\""
         ));
         assert!(sampled(LengthSampler::LogNormal {
             mu_ln: 3.25,
@@ -1266,9 +1268,26 @@ mod tests {
             max: 332,
         })
         .contains(
-            "\"gaps\":{\"kind\":\"lognormal\",\"mu_ln\":3.2500,\"sigma_ln\":0.5000,\
+            "\"gaps\":{\"kind\":\"lognormal\",\"mu_ln\":3.25,\"sigma_ln\":0.5,\
              \"min\":30,\"max\":332}"
         ));
+        // Float parameters parse back to the same bits: ln 50 (four
+        // decimals would write 3.9120) and a spread below 1e-6 (four
+        // decimals would write 0.0000).
+        let (mu_ln, sigma_ln) = (50f64.ln(), 3.7e-7);
+        let json = sampled(LengthSampler::LogNormal {
+            mu_ln,
+            sigma_ln,
+            min: 30,
+            max: 332,
+        });
+        let number = |key: &str| -> f64 {
+            let start = json.find(key).expect("key written") + key.len();
+            let len = json[start..].find(',').expect("more members follow");
+            json[start..start + len].parse().expect("a JSON number")
+        };
+        assert_eq!(number("\"mu_ln\":").to_bits(), mu_ln.to_bits());
+        assert_eq!(number("\"sigma_ln\":").to_bits(), sigma_ln.to_bits());
         assert!(sampled(LengthSampler::Uniform { min: 2, max: 4 })
             .contains("\"gaps\":{\"kind\":\"uniform\",\"min\":2,\"max\":4}"));
         assert!(sampled(LengthSampler::Ladder {

@@ -11,14 +11,14 @@ use mimose_chaos::IterationFaults;
 use mimose_models::ModelProfile;
 use mimose_planner::{CheckpointPlan, HybridPlan};
 use mimose_runtime::{EventLog, ExecEvent, IterationReport, Recorder};
-use mimose_simgpu::{AllocPolicy, ArenaStats, DeviceProfile, TraceEvent};
+use mimose_simgpu::{AllocPolicy, ArenaStats, DeviceProfile};
 
 /// One block-engine iteration, configured fluently. Construct with
 /// [`BlockIteration::plan`] / [`fine`](BlockIteration::fine) /
 /// [`hybrid`](BlockIteration::hybrid) / [`shuttle`](BlockIteration::shuttle),
 /// then run with [`run`](BlockIteration::run),
-/// [`run_recorded`](BlockIteration::run_recorded) or
-/// [`run_traced`](BlockIteration::run_traced).
+/// [`run_into`](BlockIteration::run_into) or
+/// [`run_recorded`](BlockIteration::run_recorded).
 pub struct BlockIteration<'a> {
     pub(crate) profile: &'a ModelProfile,
     pub(crate) mode: BlockMode<'a>,
@@ -166,17 +166,6 @@ impl<'a> BlockIteration<'a> {
         let (run, stats) = drive(&self, Some(&mut log));
         (run, log.events, stats)
     }
-
-    /// Execute, projecting the recorded stream down to allocator-level
-    /// [`TraceEvent`]s.
-    pub fn run_traced(self) -> (BlockRun, Vec<TraceEvent>, ArenaStats) {
-        let (run, events, stats) = self.run_recorded();
-        let trace = events
-            .iter()
-            .filter_map(ExecEvent::to_trace_event)
-            .collect();
-        (run, trace, stats)
-    }
 }
 
 /// One tensor-engine (DTR) iteration, configured fluently.
@@ -263,35 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_projects_the_recorded_stream() {
-        let p = profile(128);
-        let n = p.blocks.len();
-        let plan = CheckpointPlan::from_indices(n, &[0, 2, 4]).unwrap();
-        let it = || {
-            BlockIteration::plan(&p, &plan)
-                .capacity(8 << 30)
-                .iter(2)
-                .planning_ns(10)
-        };
-        let (recorded, events, recorded_stats) = it().run_recorded();
-        let (traced, trace, traced_stats) = it().run_traced();
-        let projected: Vec<TraceEvent> = events
-            .iter()
-            .filter_map(ExecEvent::to_trace_event)
-            .collect();
-        assert_eq!(projected, trace);
-        assert_eq!(recorded_stats.peak_used, traced_stats.peak_used);
-        assert_eq!(
-            format!("{:?}", recorded.report),
-            format!("{:?}", traced.report)
-        );
-        assert_eq!(
-            format!("{:?}", it().run().report),
-            format!("{:?}", traced.report)
-        );
-    }
-
-    #[test]
     fn dtr_builder_defaults_to_the_whole_v100() {
         let p = profile(96);
         let dev = DeviceProfile::v100();
@@ -324,15 +284,21 @@ mod tests {
         let p = profile(128);
         let n = p.blocks.len();
         let plan = CheckpointPlan::from_indices(n, &[0, 2, 4]).unwrap();
-        let (_, events, _) = BlockIteration::plan(&p, &plan)
-            .capacity(8 << 30)
-            .run_recorded();
+        let it = || {
+            BlockIteration::plan(&p, &plan)
+                .capacity(8 << 30)
+                .iter(2)
+                .planning_ns(10)
+        };
+        let (recorded, events, _) = it().run_recorded();
         let mut log = EventLog::new();
-        let run = BlockIteration::plan(&p, &plan)
-            .capacity(8 << 30)
-            .run_into(&mut log);
+        let run = it().run_into(&mut log);
         assert!(run.report.ok());
         assert_eq!(log.events, events);
+        // Recording changes nothing the report says.
+        let plain = format!("{:?}", it().run().report);
+        assert_eq!(format!("{:?}", recorded.report), plain);
+        assert_eq!(format!("{:?}", run.report), plain);
     }
 
     #[test]

@@ -476,13 +476,12 @@ mod tests {
                 .iter(3)
                 .planning_ns(42)
         };
-        let (plain, plain_trace, plain_stats) = it().run_traced();
+        let (plain, plain_events, plain_stats) = it().run_recorded();
         let cfg = RecoveryConfig::default();
-        let (rec, rec_trace, rec_stats) = it().recovery(&cfg).run_traced();
+        let (rec, rec_events, rec_stats) = it().recovery(&cfg).run_recorded();
         assert!(plain.report.ok() && rec.report.ok());
-        assert_eq!(plain_trace, rec_trace, "traces must be byte-identical");
-        assert_eq!(plain_stats.allocs, rec_stats.allocs);
-        assert_eq!(plain_stats.peak_used, rec_stats.peak_used);
+        assert_eq!(plain_events, rec_events, "streams must be identical");
+        assert_eq!(plain_stats, rec_stats);
         assert_eq!(
             plain.report.time.total_ns(),
             rec.report.time.total_ns(),

@@ -108,7 +108,6 @@ impl Recorder for ShadowChecker<'_> {
         match ev {
             ExecEvent::Alloc { size, .. } => self.live_bytes += size,
             ExecEvent::Free { size, .. } => self.live_bytes -= size,
-            ExecEvent::Reset => self.live_bytes = 0,
             // The recovery ladder's demotion rung mutates the plan while the
             // iteration runs: a demoted-executed block has its internals
             // evicted, which is indistinguishable *at the next boundary*
@@ -187,7 +186,6 @@ impl Recorder for DtrShadow {
         match ev {
             ExecEvent::Alloc { size, .. } => self.live_bytes += size,
             ExecEvent::Free { size, .. } => self.live_bytes -= size,
-            ExecEvent::Reset => self.live_bytes = 0,
             ExecEvent::Boundary {
                 phase,
                 index,

@@ -6,7 +6,7 @@
 //! (against the budget it was configured with), execute the plan in the
 //! block engine with event recording enabled, and audit the recorded
 //! [`ExecEvent`](mimose_runtime::ExecEvent) stream — its allocator
-//! projection goes through the shadow replay (including `ArenaStats`
+//! events go through the shadow replay (including `ArenaStats`
 //! divergence) and any embedded recovery events through the ladder lint.
 //! In debug builds the engine's own shadow checker additionally
 //! cross-validates the allocator against the analytic residency curve at

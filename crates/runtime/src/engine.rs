@@ -10,9 +10,10 @@
 //! [`MaterializationPolicy`](crate::MaterializationPolicy) impl.
 //!
 //! Every mutation goes through a method that emits the matching
-//! [`ExecEvent`], so the stream a recorder sees is complete: projecting it
-//! with [`ExecEvent::to_trace_event`] reproduces exactly the trace the arena
-//! itself would have logged with tracing enabled.
+//! [`ExecEvent`], so the stream a recorder sees is the complete allocator
+//! record: each `Alloc` and `Free` carries the range the arena reports for
+//! that id at that moment, each `Oom` the arena's error fields, and each
+//! `Compact` the bytes the slide moved. The arena keeps no log of its own.
 
 use crate::event::{ClockChannel, ExecEvent, Recorder};
 use crate::report::{IterationReport, OomReport, TimeBreakdown};
@@ -223,8 +224,8 @@ impl<'a> EngineCore<'a> {
 
     /// Close the iteration: charge the allocator-call overhead for every
     /// arena operation performed, and assemble the report from the arena's
-    /// watermarks. Returns the arena alongside so traced callers can read
-    /// its final statistics.
+    /// watermarks. Returns the arena alongside so recording callers can
+    /// read its final statistics.
     #[must_use]
     pub fn finish(mut self, meta: ReportMeta) -> (IterationReport, Arena) {
         let stats = self.arena.stats();
@@ -256,22 +257,24 @@ impl<'a> EngineCore<'a> {
 mod tests {
     use super::*;
     use crate::event::EventLog;
-    use mimose_simgpu::TraceEvent;
 
     #[test]
-    fn core_events_mirror_an_arena_trace_exactly() {
+    fn core_events_mirror_the_arena_exactly() {
         let dev = DeviceProfile::v100();
         let mut log = EventLog::new();
         let mut core = EngineCore::new(1 << 20, &dev, &mut log);
         let a = core.try_alloc(1000, "forward").expect("fits");
-        let b = core.try_alloc(2000, "forward").expect("fits");
+        let a_range = core.arena.range_of(a);
+        let b = core.try_alloc(2000, "backward").expect("fits");
+        let b_range = core.arena.range_of(b);
         core.free(a);
         let moved = core.compact();
         assert_eq!(moved, 2048, "b slid down over a's hole");
+        let b_slid = core.arena.range_of(b);
         core.free(b);
         let err = core.try_alloc(2 << 20, "forward").expect_err("too big");
         assert_eq!(err.requested, 2 << 20);
-        let (_, arena) = core.finish(ReportMeta {
+        let (report, arena) = core.finish(ReportMeta {
             iter: 0,
             input: ModelInput::tokens(1, 1),
             input_size: 1,
@@ -280,20 +283,82 @@ mod tests {
             oom: None,
             recovery: Vec::new(),
         });
+        assert_eq!(a_range, Some((0, 1024)));
+        assert_eq!(b_range, Some((1024, 2048)));
+        assert_eq!(b_slid, Some((0, 2048)));
 
-        // An arena with native tracing replaying the same ops must produce
-        // the projection of the event stream, byte for byte.
-        let mut shadow = Arena::new(1 << 20);
-        shadow.set_tracing(true);
-        let sa = shadow.alloc(1000).expect("fits");
-        let sb = shadow.alloc(2000).expect("fits");
-        shadow.free(sa);
-        shadow.compact();
-        shadow.free(sb);
-        let _ = shadow.alloc(2 << 20).expect_err("too big");
-        assert_eq!(log.to_arena_trace(), shadow.take_trace());
-        assert_eq!(arena.stats().allocs, shadow.stats().allocs);
-        assert_eq!(arena.stats().peak_used, shadow.stats().peak_used);
+        // Every allocator event carries what the arena reported at that
+        // moment: the live range, the compaction's moved bytes, the error.
+        let range = |r: Option<(usize, usize)>| r.expect("live at the time");
+        let expected = vec![
+            ExecEvent::Alloc {
+                id: a,
+                offset: range(a_range).0,
+                size: range(a_range).1,
+                requested: 1000,
+                phase: "forward",
+            },
+            ExecEvent::Alloc {
+                id: b,
+                offset: range(b_range).0,
+                size: range(b_range).1,
+                requested: 2000,
+                phase: "backward",
+            },
+            ExecEvent::Free {
+                id: a,
+                offset: range(a_range).0,
+                size: range(a_range).1,
+            },
+            ExecEvent::Compact { moved },
+            ExecEvent::Free {
+                id: b,
+                offset: range(b_slid).0,
+                size: range(b_slid).1,
+            },
+            ExecEvent::Oom {
+                requested: err.requested,
+                free_bytes: err.free_bytes,
+                largest_free: err.largest_free,
+                phase: "forward",
+            },
+            ExecEvent::ClockCharge {
+                channel: ClockChannel::Allocator,
+                ns: report.time.allocator_ns,
+            },
+        ];
+        assert_eq!(log.events, expected);
+
+        // The event counts and the watermarks folded from the stream equal
+        // the arena's own statistics.
+        let stats = arena.stats();
+        let f = crate::fold_events(arena.capacity(), &log.events);
+        assert_eq!(
+            (
+                f.allocs,
+                f.frees,
+                f.oom_events,
+                f.injected_ooms,
+                f.compactions
+            ),
+            (
+                stats.allocs,
+                stats.frees,
+                stats.oom_events,
+                stats.injected_ooms,
+                stats.compactions
+            )
+        );
+        assert_eq!(
+            (f.peak_used, f.peak_frag, f.peak_extent, f.peak_footprint),
+            (
+                stats.peak_used,
+                stats.peak_frag,
+                stats.peak_extent,
+                stats.peak_footprint
+            )
+        );
+        assert_eq!(f.live_bytes, arena.used_bytes());
     }
 
     #[test]
@@ -339,9 +404,5 @@ mod tests {
             }
         ));
         assert!(matches!(log.events[1], ExecEvent::Alloc { .. }));
-        assert_eq!(
-            log.to_arena_trace()[0],
-            TraceEvent::InjectedOom { requested: 1024 }
-        );
     }
 }

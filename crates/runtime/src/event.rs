@@ -9,12 +9,12 @@
 //! the shadow checkers cross-validate it against the analytic memory model,
 //! and `mimose-audit` replays it through an independent shadow allocator.
 //!
-//! Allocator-level events map 1:1 onto [`TraceEvent`]s (see
-//! [`ExecEvent::to_trace_event`]); the stream is a strict superset of the
-//! arena's own trace, so anything that audited arena traces audits these.
+//! The allocator-level events (`Alloc`, `Free`, `Oom`, `InjectedOom`,
+//! `Compact`) are the one record of what the arena did: the arena keeps no
+//! log of its own, and `mimose-audit` replays these events directly.
 
 use mimose_planner::{CheckpointPlan, RecoveryEvent};
-use mimose_simgpu::{AllocId, TraceEvent};
+use mimose_simgpu::AllocId;
 
 /// Which [`TimeBreakdown`](crate::TimeBreakdown) channel a scalar clock
 /// charge lands in. Compute/recompute/swap charges carry their own event
@@ -81,8 +81,6 @@ pub enum ExecEvent {
         /// Bytes of live allocations that changed address.
         moved: usize,
     },
-    /// The arena was reset to a single pristine free range.
-    Reset,
     /// Useful forward/backward/optimizer compute charged to the clock.
     Compute {
         /// Nanoseconds charged.
@@ -128,44 +126,6 @@ pub enum ExecEvent {
     },
 }
 
-impl ExecEvent {
-    /// The allocator-level [`TraceEvent`] this event corresponds to, if
-    /// any. Projecting a stream through this function yields exactly the
-    /// trace the arena itself would have recorded with tracing enabled.
-    #[must_use]
-    pub fn to_trace_event(&self) -> Option<TraceEvent> {
-        match *self {
-            ExecEvent::Alloc {
-                id,
-                offset,
-                size,
-                requested,
-                ..
-            } => Some(TraceEvent::Alloc {
-                id,
-                offset,
-                size,
-                requested,
-            }),
-            ExecEvent::Free { id, offset, size } => Some(TraceEvent::Free { id, offset, size }),
-            ExecEvent::Oom {
-                requested,
-                free_bytes,
-                largest_free,
-                ..
-            } => Some(TraceEvent::Oom {
-                requested,
-                free_bytes,
-                largest_free,
-            }),
-            ExecEvent::InjectedOom { requested, .. } => Some(TraceEvent::InjectedOom { requested }),
-            ExecEvent::Compact { moved } => Some(TraceEvent::Compact { moved }),
-            ExecEvent::Reset => Some(TraceEvent::Reset),
-            _ => None,
-        }
-    }
-}
-
 /// A sink for [`ExecEvent`]s. Engines emit through `&mut dyn Recorder`, so
 /// recording, shadow checking and plain (discarding) execution share one
 /// code path.
@@ -195,15 +155,6 @@ impl EventLog {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Project the allocator-level events into an arena trace (see
-    /// [`ExecEvent::to_trace_event`]).
-    pub fn to_arena_trace(&self) -> Vec<TraceEvent> {
-        self.events
-            .iter()
-            .filter_map(ExecEvent::to_trace_event)
-            .collect()
     }
 
     /// Take ownership of the recorded events, leaving an empty log.
@@ -236,47 +187,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_projection_covers_allocator_events_only() {
-        let id = AllocId::from_raw(3);
-        let alloc = ExecEvent::Alloc {
-            id,
-            offset: 0,
-            size: 512,
-            requested: 100,
-            phase: "forward",
-        };
-        assert_eq!(
-            alloc.to_trace_event(),
-            Some(TraceEvent::Alloc {
-                id,
-                offset: 0,
-                size: 512,
-                requested: 100
-            })
-        );
-        assert_eq!(ExecEvent::Compute { ns: 5 }.to_trace_event(), None);
-        assert_eq!(
-            ExecEvent::Boundary {
-                phase: "init",
-                index: None,
-                live_hint: None
-            }
-            .to_trace_event(),
-            None
-        );
-    }
-
-    #[test]
     fn tee_preserves_order_into_both_sinks() {
         let mut a = EventLog::new();
         let mut b = EventLog::new();
         {
             let mut tee = Tee(&mut a, &mut b);
             tee.record(&ExecEvent::Compute { ns: 1 });
-            tee.record(&ExecEvent::Reset);
+            tee.record(&ExecEvent::Compact { moved: 512 });
         }
         assert_eq!(a.events, b.events);
-        assert_eq!(a.events.len(), 2);
-        assert_eq!(a.to_arena_trace(), vec![TraceEvent::Reset]);
+        assert_eq!(
+            a.events,
+            vec![
+                ExecEvent::Compute { ns: 1 },
+                ExecEvent::Compact { moved: 512 }
+            ]
+        );
     }
 }

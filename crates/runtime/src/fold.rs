@@ -109,10 +109,6 @@ pub fn fold_events(capacity: usize, events: &[ExecEvent]) -> EventFold {
                 }
                 f.compactions += 1;
             }
-            ExecEvent::Reset => {
-                live.clear();
-                used = 0;
-            }
             ExecEvent::Compute { ns } => f.time.compute_ns += ns,
             ExecEvent::Recompute { ns } => f.time.recompute_ns += ns,
             ExecEvent::Swap { ns } => f.time.swap_ns += ns,

@@ -8,7 +8,9 @@
 //!   U+0000–U+001F (`\n`, `\r` and `\t` in their short forms, the rest as
 //!   `\u00xx`); everything else passes through;
 //! - floats at a fixed precision ([`Fixed`]), so two runs with the same
-//!   seed serialize byte-identically; a non-finite float is `null`;
+//!   seed serialize byte-identically, or, where a reader must rebuild the
+//!   exact value, in their shortest round-trip form ([`Exact`]); a
+//!   non-finite float is `null`;
 //! - `None` is `null`;
 //! - a slice of values is an array of them.
 //!
@@ -37,8 +39,8 @@
 use std::fmt::Write as _;
 
 /// A value the writer can place: unsigned integers, `bool`, strings,
-/// [`Fixed`] floats, references to these, and `Option`s and slices of
-/// them.
+/// [`Fixed`] and [`Exact`] floats, references to these, and `Option`s and
+/// slices of them.
 pub trait JsonValue {
     /// Append this value's JSON text to `out`.
     fn write_json(&self, out: &mut String);
@@ -53,6 +55,24 @@ impl JsonValue for Fixed {
     fn write_json(&self, out: &mut String) {
         if self.0.is_finite() {
             let _ = write!(out, "{:.*}", self.1, self.0);
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+/// A float in its shortest round-trip form: parsing the text gives back
+/// the same `f64` bits (`Exact(50f64.ln())` writes `3.912023005428146`,
+/// `Exact(72.0)` writes `72`). A non-finite float is `null`.
+#[derive(Debug, Clone, Copy)]
+pub struct Exact(pub f64);
+
+impl JsonValue for Exact {
+    fn write_json(&self, out: &mut String) {
+        if self.0.is_finite() {
+            // `Display` for `f64` prints the shortest decimal that parses
+            // back to the same bits, and never an exponent.
+            let _ = write!(out, "{}", self.0);
         } else {
             out.push_str("null");
         }
@@ -250,6 +270,24 @@ mod tests {
         }
         // Space, DEL and non-ASCII pass through untouched.
         assert_eq!(string(" \u{7f}é→"), "\" \u{7f}é→\"");
+    }
+
+    #[test]
+    fn exact_floats_parse_back_to_the_same_bits() {
+        let text = |v: f64| {
+            object(|o| {
+                o.field("v", Exact(v));
+            })
+        };
+        assert_eq!(text(50f64.ln()), r#"{"v":3.912023005428146}"#);
+        assert_eq!(text(72.0), r#"{"v":72}"#);
+        assert_eq!(text(f64::NAN), r#"{"v":null}"#);
+        for v in [50f64.ln(), 0.1 + 0.2, 3.7e-7, 1.0 / 3.0, -2.5e-300, 1.5e300] {
+            let t = text(v);
+            let num = &t[r#"{"v":"#.len()..t.len() - 1];
+            let back: f64 = num.parse().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:e} -> {num}");
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! either cursor proves the answer; `largest_free()` — sampled on **every**
 //! successful allocation for the fragmentation watermarks — drops from an
 //! O(n) scan to the size index's last key.
+//!
+//! The arena keeps no event log of its own. `mimose_runtime::EngineCore`
+//! makes every allocator call on the engines' behalf and narrates each one
+//! as an `ExecEvent` (`Alloc`, `Free`, `Oom`, `InjectedOom`, `Compact`);
+//! that stream is the one allocator record the audit replays.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,73 +59,20 @@ pub enum AllocPolicy {
 pub struct AllocId(u64);
 
 impl AllocId {
-    /// The raw id value (stable within one arena; used by trace tooling).
+    /// The raw id value (stable within one arena; used by event-stream
+    /// tooling).
     #[must_use]
     pub fn raw(self) -> u64 {
         self.0
     }
 
-    /// Rebuild an id from its raw value. Only meaningful for trace tooling
-    /// (replaying or synthesizing [`TraceEvent`] streams); passing a
-    /// fabricated id to [`Arena::free`] is a simulator bug.
+    /// Rebuild an id from its raw value. Only meaningful for event-stream
+    /// tooling (replaying or synthesizing allocator event streams); passing
+    /// a fabricated id to [`Arena::free`] is a simulator bug.
     #[must_use]
     pub fn from_raw(raw: u64) -> Self {
         AllocId(raw)
     }
-}
-
-/// One allocator event, recorded when tracing is enabled (see
-/// [`Arena::set_tracing`]). The `mimose-audit` trace auditor replays these
-/// events through an independent shadow allocator and cross-checks every
-/// memory-safety and accounting invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A successful allocation.
-    Alloc {
-        /// Handle returned to the caller.
-        id: AllocId,
-        /// Start address of the carved range.
-        offset: usize,
-        /// Aligned length of the carved range.
-        size: usize,
-        /// Bytes the caller asked for (pre-alignment).
-        requested: usize,
-    },
-    /// A free of a live allocation.
-    Free {
-        /// Handle being released.
-        id: AllocId,
-        /// Start address of the released range.
-        offset: usize,
-        /// Aligned length of the released range.
-        size: usize,
-    },
-    /// A failed allocation.
-    Oom {
-        /// Aligned bytes requested.
-        requested: usize,
-        /// Total free bytes at the time of failure.
-        free_bytes: usize,
-        /// Largest contiguous free range at the time of failure.
-        largest_free: usize,
-    },
-    /// The arena was reset to a single pristine free range.
-    Reset,
-    /// The arena was compacted: live allocations slid to the bottom of the
-    /// address space (preserving address order), all free space coalesced
-    /// into one trailing range. Emitted by the OOM-recovery ladder's
-    /// coalesce-and-retry rung.
-    Compact {
-        /// Bytes of live allocations that changed address (the copy cost).
-        moved: usize,
-    },
-    /// A deliberately injected (spurious) allocation failure from the
-    /// fault-injection layer. The arena state is untouched; the caller saw
-    /// an [`OomError`] that no real allocation produced.
-    InjectedOom {
-        /// Aligned bytes the failed request asked for.
-        requested: usize,
-    },
 }
 
 /// Allocation failure.
@@ -183,7 +135,7 @@ pub struct ArenaStats {
     /// merge ranges or leave them untouched. A free that coalesces can
     /// therefore lower instantaneous fragmentation below `peak_frag`
     /// without the watermark ever moving; `peak_footprint` (updated on
-    /// both paths) is the measure that tracks frees too. The trace auditor
+    /// both paths) is the measure that tracks frees too. The stream auditor
     /// in `mimose-audit` recomputes this field with identical sampling.
     pub peak_frag: usize,
     /// High-watermark of the address-space extent (highest end address of
@@ -232,8 +184,6 @@ pub struct Arena {
     next_id: u64,
     used: usize,
     stats: ArenaStats,
-    /// Event log, recorded only when tracing is enabled.
-    trace: Option<Vec<TraceEvent>>,
     /// Total `alloc` calls so far (1-based ordinal of the next attempt is
     /// `alloc_attempts + 1`); the key space for spurious-failure injection.
     alloc_attempts: u64,
@@ -268,7 +218,6 @@ impl Arena {
             next_id: 0,
             used: 0,
             stats: ArenaStats::default(),
-            trace: None,
             alloc_attempts: 0,
             fail_attempts: BTreeSet::new(),
         }
@@ -286,28 +235,6 @@ impl Arena {
     fn remove_free(&mut self, addr: usize, len: usize) {
         self.free.remove(&addr);
         self.free_by_size.remove(&(len, addr));
-    }
-
-    /// Enable or disable event tracing. Enabling starts a fresh log;
-    /// disabling discards it. Tracing costs one `Vec` push per allocator
-    /// call and is off by default.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.trace = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// The recorded events so far, if tracing is enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&[TraceEvent]> {
-        self.trace.as_deref()
-    }
-
-    /// Take ownership of the recorded events, leaving an empty log (tracing
-    /// stays enabled). Returns an empty vec when tracing is off.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        match &mut self.trace {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
     }
 
     /// The arena's fit policy.
@@ -437,15 +364,11 @@ impl Arena {
             // A retry is a fresh attempt ordinal, so one injection fails at
             // most one call (one-shot).
             self.stats.injected_ooms += 1;
-            let err = OomError {
+            return Err(OomError {
                 requested: need,
                 free_bytes: self.free_bytes(),
                 largest_free: self.largest_free(),
-            };
-            if let Some(t) = &mut self.trace {
-                t.push(TraceEvent::InjectedOom { requested: need });
-            }
-            return Err(err);
+            });
         }
         let slot = match self.policy {
             AllocPolicy::FirstFit => self.first_fit(need),
@@ -453,19 +376,11 @@ impl Arena {
         };
         let Some((addr, len)) = slot else {
             self.stats.oom_events += 1;
-            let err = OomError {
+            return Err(OomError {
                 requested: need,
                 free_bytes: self.free_bytes(),
                 largest_free: self.largest_free(),
-            };
-            if let Some(t) = &mut self.trace {
-                t.push(TraceEvent::Oom {
-                    requested: err.requested,
-                    free_bytes: err.free_bytes,
-                    largest_free: err.largest_free,
-                });
-            }
-            return Err(err);
+            });
         };
         self.remove_free(addr, len);
         if len > need {
@@ -483,14 +398,6 @@ impl Arena {
             .stats
             .peak_footprint
             .max(self.used + self.fragmentation_bytes());
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent::Alloc {
-                id,
-                offset: addr,
-                size: need,
-                requested: bytes,
-            });
-        }
         Ok(id)
     }
 
@@ -506,13 +413,6 @@ impl Arena {
             .unwrap_or_else(|| panic!("free of non-live allocation {id:?}"));
         self.used -= len;
         self.stats.frees += 1;
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent::Free {
-                id,
-                offset: addr,
-                size: len,
-            });
-        }
         // Coalesce with predecessor.
         let mut start = addr;
         let mut length = len;
@@ -550,21 +450,6 @@ impl Arena {
         self.live.get(&id).copied()
     }
 
-    /// Free every live allocation (end of iteration): the arena returns to a
-    /// single free range.
-    pub fn reset(&mut self) {
-        self.live.clear();
-        self.used = 0;
-        self.free.clear();
-        self.free_by_size.clear();
-        if self.capacity > 0 {
-            self.insert_free(0, self.capacity);
-        }
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent::Reset);
-        }
-    }
-
     /// Compact the arena: slide every live allocation to the lowest
     /// possible address (preserving their relative address order) so all
     /// free space coalesces into a single trailing range. Returns the bytes
@@ -574,7 +459,7 @@ impl Arena {
     ///
     /// Allocation ids remain valid; only their addresses change. The slide
     /// is fully deterministic given the live set, which lets the audit
-    /// shadow allocator mirror it exactly when replaying a trace.
+    /// shadow allocator mirror it exactly when replaying an event stream.
     pub fn compact(&mut self) -> usize {
         let mut by_addr: Vec<(AllocId, usize, usize)> = self
             .live
@@ -597,9 +482,6 @@ impl Arena {
             self.insert_free(cursor, self.capacity - cursor);
         }
         self.stats.compactions += 1;
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent::Compact { moved });
-        }
         moved
     }
 
@@ -790,18 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_full_capacity() {
-        let mut a = Arena::new(1 << 16);
-        for _ in 0..10 {
-            let _ = a.alloc(1000).unwrap();
-        }
-        a.reset();
-        assert_eq!(a.used_bytes(), 0);
-        assert_eq!(a.largest_free(), 1 << 16);
-        assert_eq!(a.live_count(), 0);
-    }
-
-    #[test]
     fn peak_used_tracks_high_watermark() {
         let mut a = Arena::new(1 << 16);
         let x = a.alloc(8192).unwrap();
@@ -868,7 +738,6 @@ mod tests {
     #[test]
     fn injected_failure_is_one_shot_and_state_preserving() {
         let mut a = Arena::new(1 << 16);
-        a.set_tracing(true);
         let _x = a.alloc(1000).unwrap(); // attempt 1
         a.set_spurious_failures(&[2]);
         let err = a.alloc(1000).unwrap_err(); // attempt 2: injected
@@ -878,10 +747,6 @@ mod tests {
         assert_eq!(a.stats().injected_ooms, 1);
         assert_eq!(a.stats().oom_events, 0, "injected OOMs are not genuine");
         assert_eq!(a.alloc_attempts(), 3);
-        let trace = a.trace().unwrap();
-        assert!(trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::InjectedOom { .. })));
         a.check_invariants().unwrap();
     }
 
@@ -893,21 +758,5 @@ mod tests {
         let _y = a.alloc(100).unwrap();
         assert_eq!(a.stats().injected_ooms, 0);
         assert_eq!(a.pending_injected_failures(), 1, "armed but unreachable");
-    }
-
-    #[test]
-    fn compact_is_traced() {
-        let mut a = Arena::new(4096);
-        a.set_tracing(true);
-        let x = a.alloc(512).unwrap();
-        let _y = a.alloc(512).unwrap();
-        a.free(x);
-        let moved = a.compact();
-        assert_eq!(moved, 512);
-        assert!(a
-            .trace()
-            .unwrap()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Compact { moved: 512 })));
     }
 }

@@ -11,8 +11,6 @@ mod arena;
 mod clock;
 mod device;
 
-pub use arena::{
-    align_up, AllocId, AllocPolicy, Arena, ArenaStats, OomError, TraceEvent, ARENA_ALIGN,
-};
+pub use arena::{align_up, AllocId, AllocPolicy, Arena, ArenaStats, OomError, ARENA_ALIGN};
 pub use clock::{VirtualClock, VirtualTime};
 pub use device::DeviceProfile;

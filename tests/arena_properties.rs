@@ -5,9 +5,11 @@
 //! The randomized scripts are seeded-deterministic (see `mimose::rng`), so
 //! failures reproduce exactly.
 
-use mimose::audit::{audit_trace, has_errors};
+use mimose::audit::{audit_exec_events, has_errors};
 use mimose::rng::{Rng, SeedableRng, StdRng};
-use mimose::simgpu::{AllocId, AllocPolicy, Arena};
+use mimose::runtime::{EngineCore, EventLog};
+use mimose::simgpu::{AllocId, AllocPolicy, Arena, DeviceProfile};
+use mimose_chaos::IterationFaults;
 
 /// A random allocator script: sizes to allocate, and for each step whether
 /// to free a previously live allocation (chosen by index).
@@ -111,49 +113,86 @@ fn alloc_sizes_are_aligned_and_sufficient() {
     }
 }
 
-/// Differential check: random alloc/free scripts, replayed through the
-/// trace auditor's independent shadow allocator, must produce zero
-/// error-severity diagnostics under both fit policies — the arena and the
-/// auditor derive the free-space structure by entirely different code
-/// paths, so agreement here pins down coalescing, alignment, range
-/// accounting, and the `ArenaStats` high-watermarks all at once.
+/// Differential check: random alloc/free scripts, recorded through the
+/// engine core into an event stream and replayed by the stream auditor's
+/// independent shadow allocator, must produce zero error-severity
+/// diagnostics under both fit policies. Each script compacts the arena
+/// every few steps and has a few of its allocation attempts fail
+/// spuriously, and half the scripts drain the arena at the end while the
+/// other half leave their allocations live. The arena and the auditor
+/// derive the free-space structure by entirely different code paths, so
+/// agreement here pins down coalescing, alignment, range accounting, the
+/// compaction slide, and the `ArenaStats` high-watermarks all at once.
 #[test]
 fn trace_audit_is_clean_for_both_fit_policies() {
+    let dev = DeviceProfile::v100();
     for (policy, seed) in [
         (AllocPolicy::FirstFit, 0xD1FF_0001u64),
         (AllocPolicy::BestFit, 0xD1FF_0002u64),
     ] {
         let mut rng = StdRng::seed_from_u64(seed);
+        let (mut compactions, mut injected) = (0u64, 0u64);
         for case in 0..32 {
             // A small arena so OOM (and fragmentation-OOM) paths are hit too.
-            let mut arena = Arena::with_policy(2 << 20, policy);
-            arena.set_tracing(true);
+            let capacity = 2 << 20;
             let len = 1 + rng.gen_range(0usize..300);
             let mut script = random_script(&mut rng, len);
-            // Guarantee at least one allocation so every trace has content.
+            // Guarantee at least one allocation so every stream has content.
             script.insert(0, Step::Alloc(4096));
-            let live = run_script(&mut arena, &script, |_| {});
-            // Occasionally drain or reset so end-of-trace states vary.
-            match case % 3 {
-                0 => {
-                    for id in live {
-                        arena.free(id);
+            let compact_every = rng.gen_range(4usize..40);
+            let mut fail_allocs: Vec<u64> = (0..rng.gen_range(0usize..4))
+                .map(|_| rng.gen_range(1..=len as u64))
+                .collect();
+            fail_allocs.sort_unstable();
+            let faults = IterationFaults {
+                fail_allocs,
+                ..IterationFaults::identity()
+            };
+            let mut log = EventLog::new();
+            let stats = {
+                let mut core = EngineCore::with_policy(capacity, policy, &dev, &mut log);
+                core.arm_faults(Some(&faults));
+                let mut live: Vec<AllocId> = Vec::new();
+                for (i, step) in script.iter().enumerate() {
+                    match *step {
+                        Step::Alloc(sz) => {
+                            if let Ok(id) = core.try_alloc(sz, "forward") {
+                                live.push(id);
+                            }
+                        }
+                        Step::FreeNth(n) => {
+                            if !live.is_empty() {
+                                let id = live.swap_remove(n % live.len());
+                                core.free(id);
+                            }
+                        }
+                    }
+                    if (i + 1) % compact_every == 0 {
+                        core.compact();
                     }
                 }
-                1 => arena.reset(),
-                _ => {}
-            }
-            let stats = arena.stats();
-            let trace = arena.take_trace();
+                // Drain or leave live, so end-of-stream states vary.
+                if case % 2 == 0 {
+                    for id in live {
+                        core.free(id);
+                    }
+                }
+                core.arena.check_invariants().expect("invariant violated");
+                core.arena.stats()
+            };
             assert!(
                 stats.allocs + stats.oom_events > 0,
                 "script exercised nothing"
             );
-            let diags = audit_trace(arena.capacity(), &trace, Some(&stats));
+            compactions += stats.compactions;
+            injected += stats.injected_ooms;
+            let diags = audit_exec_events(capacity, &log.events, Some(&stats));
             assert!(
                 !has_errors(&diags),
                 "{policy:?} case {case}: auditor disagrees with arena: {diags:?}"
             );
         }
+        assert!(compactions > 0, "{policy:?}: no script compacted");
+        assert!(injected > 0, "{policy:?}: no injected failure fired");
     }
 }
