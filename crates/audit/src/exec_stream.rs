@@ -46,7 +46,7 @@ pub fn audit_exec_events(
     let recovery: Vec<_> = events
         .iter()
         .filter_map(|e| match e {
-            ExecEvent::Recovery(r) => Some(r.clone()),
+            ExecEvent::Recovery(r) => Some(r.as_ref().clone()),
             _ => None,
         })
         .collect();

@@ -7,7 +7,7 @@
 //!
 //! The shadow keeps only the live address ranges, reconstructing the free
 //! list as the complement of the live set — so it shares no code (and no
-//! bugs) with the arena's `BTreeMap` free-list bookkeeping. Detected
+//! bugs) with the arena's sorted free-list bookkeeping. Detected
 //! classes:
 //!
 //! * **double-free / foreign free** — freeing an id that is not live;

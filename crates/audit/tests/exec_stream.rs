@@ -1,5 +1,6 @@
 //! End-to-end: record real engine runs and push their event streams
-//! through the stream auditor — the same pipeline the CI smoke job runs.
+//! through the stream auditor. These tests are that pipeline's only home:
+//! `cargo test --workspace` runs them in debug, shadow checkers on.
 
 use mimose_audit::{audit_exec_events, has_errors};
 use mimose_exec::{BlockIteration, DtrIteration};

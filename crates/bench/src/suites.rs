@@ -223,10 +223,12 @@ fn record_iteration(
 /// [`EventLog`], one DTR iteration on the same profile, the isolated
 /// per-event record cost on the captured stream, and the profile call
 /// itself on the raw and the optimized graph.
-/// The simulated engine does only ~100 ns of bookkeeping per event, so
-/// even `EventLog`'s raw push shows up at ~5–10 %; CI bounds `event_log`
-/// at 1.5× null (see the recorder-overhead step in ci.yml), and the
-/// `runtime_record_cost` group carries the exact per-event number.
+/// The simulated engine spends only ~8 ns of its own per event, so
+/// `EventLog`'s push (each event moved into a reused `Vec`) adds about
+/// half again to the null iteration; CI bounds `event_log` at 1.5× null
+/// (see the recorder-overhead step in ci.yml). The `runtime_record_cost`
+/// group carries the per-event number, which includes one clone per
+/// event: the captured stream is kept for the next sample.
 ///
 /// # Panics
 /// Panics only if the fixture plan indices fall out of range for the
@@ -275,10 +277,10 @@ pub fn runtime_suite(c: &mut Criterion) {
         })
     });
 
-    // Pure record cost, isolated from the engine: replay the captured
-    // per-iteration stream into each recorder. `ops_per_iter` makes the
+    // Pure record cost, isolated from the engine: replay a clone of the
+    // captured per-iteration stream into the log. `ops_per_iter` makes the
     // JSON's per-event cost exact (the in-situ numbers above fold the
-    // engine's own ~100 ns/event of bookkeeping into the denominator).
+    // engine's own ~8 ns/event into the denominator).
     let stream = record_iteration(&p, &plan, &dev);
     let ops = BenchMeta {
         blocks: Some(n),
@@ -290,7 +292,7 @@ pub fn runtime_suite(c: &mut Criterion) {
         b.iter(|| {
             log.events.clear();
             for ev in &stream {
-                log.record(black_box(ev));
+                log.record(black_box(ev).clone());
             }
             black_box(log.events.len())
         })
@@ -379,9 +381,11 @@ fn arena_ops(stream: &[ExecEvent]) -> Vec<ArenaOp> {
         .collect()
 }
 
-/// Arena suite: the size-indexed arena on the fragmentation-heavy
-/// workload under both fit policies, and the allocator calls of the
-/// runtime suite's recorded iteration replayed on a fresh arena.
+/// Arena suite: the sorted-`Vec` arena on the fragmentation-heavy
+/// workload (about 384 holes, the many-range case) under both fit
+/// policies, and the allocator calls of the runtime suite's recorded
+/// iteration (a handful of ranges, the engines' case) replayed on a fresh
+/// arena.
 ///
 /// # Panics
 /// Panics only if a replayed call fails where the recording succeeded,
@@ -419,7 +423,9 @@ pub fn arena_suite(c: &mut Criterion) {
                         ArenaOp::Alloc(bytes) => {
                             black_box(a.alloc(bytes).expect("the recorded iteration fit"));
                         }
-                        ArenaOp::Free(id) => a.free(id),
+                        ArenaOp::Free(id) => {
+                            black_box(a.free(id));
+                        }
                     }
                 }
             },

@@ -139,7 +139,7 @@ impl AdaptiveState {
         let recovery: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                mimose_runtime::ExecEvent::Recovery(r) => Some(r.clone()),
+                mimose_runtime::ExecEvent::Recovery(r) => Some(r.as_ref().clone()),
                 _ => None,
             })
             .collect();
@@ -242,7 +242,7 @@ mod tests {
         let mut t = AdaptiveState::default();
         let stream = [
             ExecEvent::Compute { ns: 10 },
-            ExecEvent::Recovery(ev(RecoveryRung::Fallback, 0.85)),
+            ExecEvent::Recovery(Box::new(ev(RecoveryRung::Fallback, 0.85))),
         ];
         assert!(t.absorb_exec_events(&cfg, &stream));
         assert!((t.plan_scale - 0.85).abs() < 1e-12);

@@ -239,7 +239,7 @@ pub(crate) fn run_attempt(
             return close(core, profile, iter, shuttle, Some(report), pol);
         }
     }
-    core.emit(&ExecEvent::Boundary {
+    core.emit(ExecEvent::Boundary {
         phase: "init",
         index: None,
         live_hint: None,
@@ -321,7 +321,7 @@ pub(crate) fn run_attempt(
             lb.dropped = drops;
         }
         pol.live.push(lb);
-        core.emit(&ExecEvent::Boundary {
+        core.emit(ExecEvent::Boundary {
             phase: "forward",
             index: Some(i),
             live_hint: None,
@@ -411,7 +411,7 @@ pub(crate) fn run_attempt(
         if let Some(id) = pol.live[i].out_id.take() {
             core.free(id);
         }
-        core.emit(&ExecEvent::Boundary {
+        core.emit(ExecEvent::Boundary {
             phase: "backward",
             index: Some(i),
             live_hint: None,

@@ -128,7 +128,7 @@ pub(crate) fn run(
     if let Some(&o) = block_out.last() {
         pol.slots[o].pinned = false;
     }
-    core.emit(&ExecEvent::Boundary {
+    core.emit(ExecEvent::Boundary {
         phase: "end-of-forward",
         index: None,
         live_hint: Some(pol.live_slot_bytes()),
@@ -171,7 +171,7 @@ pub(crate) fn run(
             pol.slots[si].dead = true;
             pol.slots[si].pinned = false;
         }
-        core.emit(&ExecEvent::Boundary {
+        core.emit(ExecEvent::Boundary {
             phase: "backward",
             index: Some(i),
             live_hint: Some(pol.live_slot_bytes()),

@@ -103,7 +103,7 @@ impl MaterializationPolicy for BlockRungPolicy<'_> {
                 time_cost_ns: cost,
                 freed_bytes: frag_before,
             };
-            core.emit(&ExecEvent::Recovery(ev.clone()));
+            core.emit(ExecEvent::Recovery(Box::new(ev.clone())));
             self.events.push(ev);
             return Ok(true);
         }
@@ -164,11 +164,11 @@ impl MaterializationPolicy for BlockRungPolicy<'_> {
                         time_cost_ns: 0, // cost surfaces later as recompute
                         freed_bytes: freed,
                     };
-                    core.emit(&ExecEvent::Recovery(ev.clone()));
+                    core.emit(ExecEvent::Recovery(Box::new(ev.clone())));
                     self.events.push(ev);
                     // The stream carries the new plan; the teed shadow
                     // checker (and any auditor) rebases from it.
-                    core.emit(&ExecEvent::PlanApplied { plan: plan_of(w) });
+                    core.emit(ExecEvent::PlanApplied { plan: plan_of(w) });
                     return Ok(true);
                 }
             }

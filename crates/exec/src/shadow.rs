@@ -104,8 +104,8 @@ impl<'p> ShadowChecker<'p> {
 }
 
 impl Recorder for ShadowChecker<'_> {
-    fn record(&mut self, ev: &ExecEvent) {
-        match ev {
+    fn record(&mut self, ev: ExecEvent) {
+        match &ev {
             ExecEvent::Alloc { size, .. } => self.live_bytes += size,
             ExecEvent::Free { size, .. } => self.live_bytes -= size,
             // The recovery ladder's demotion rung mutates the plan while the
@@ -182,8 +182,8 @@ impl DtrShadow {
 }
 
 impl Recorder for DtrShadow {
-    fn record(&mut self, ev: &ExecEvent) {
-        match ev {
+    fn record(&mut self, ev: ExecEvent) {
+        match &ev {
             ExecEvent::Alloc { size, .. } => self.live_bytes += size,
             ExecEvent::Free { size, .. } => self.live_bytes -= size,
             ExecEvent::Boundary {
@@ -256,32 +256,32 @@ mod tests {
         };
         let (cid, cbytes) = id(p.const_bytes);
         let (iid, ibytes) = id(p.input_bytes);
-        checker.record(&ev_alloc(cid, cbytes));
-        checker.record(&ev_alloc(iid, ibytes));
-        checker.record(&boundary("init", None));
+        checker.record(ev_alloc(cid, cbytes));
+        checker.record(ev_alloc(iid, ibytes));
+        checker.record(boundary("init", None));
         // Forward: checkpointed blocks retain only their output.
         let mut outs = Vec::new();
         for (i, b) in p.blocks.iter().enumerate() {
             let (oid, obytes) = id(b.out_bytes);
             outs.push((oid, obytes));
-            checker.record(&ev_alloc(oid, obytes));
-            checker.record(&boundary("forward", Some(i)));
+            checker.record(ev_alloc(oid, obytes));
+            checker.record(boundary("forward", Some(i)));
         }
         // Backward: recompute internals, free them + output.
         for (i, b) in p.blocks.iter().enumerate().rev() {
             let acts: Vec<_> = b.tensors.iter().map(|t| id(t.bytes)).collect();
             for &(aid, abytes) in &acts {
-                checker.record(&ev_alloc(aid, abytes));
+                checker.record(ev_alloc(aid, abytes));
             }
             for (aid, abytes) in acts {
-                checker.record(&ev_free(aid, abytes));
+                checker.record(ev_free(aid, abytes));
             }
             let (oid, obytes) = outs.pop().unwrap();
-            checker.record(&ev_free(oid, obytes));
-            checker.record(&boundary("backward", Some(i)));
+            checker.record(ev_free(oid, obytes));
+            checker.record(boundary("backward", Some(i)));
         }
-        checker.record(&ev_free(cid, cbytes));
-        checker.record(&ev_free(iid, ibytes));
+        checker.record(ev_free(cid, cbytes));
+        checker.record(ev_free(iid, ibytes));
         assert_eq!(checker.live_bytes, 0);
     }
 
@@ -293,17 +293,17 @@ mod tests {
             .unwrap();
         let plan = CheckpointPlan::none(p.blocks.len());
         let mut checker = ShadowChecker::new(&p, &plan);
-        checker.record(&ev_alloc(1, p.const_bytes));
-        checker.record(&ev_alloc(2, p.input_bytes));
-        checker.record(&boundary("init", None));
+        checker.record(ev_alloc(1, p.const_bytes));
+        checker.record(ev_alloc(2, p.input_bytes));
+        checker.record(boundary("init", None));
         // A stray allocation the model knows nothing about.
-        checker.record(&ev_alloc(3, 123 << 20));
+        checker.record(ev_alloc(3, 123 << 20));
         let b = &p.blocks[0];
         for (k, t) in b.tensors.iter().enumerate() {
-            checker.record(&ev_alloc(10 + k as u64, t.bytes));
+            checker.record(ev_alloc(10 + k as u64, t.bytes));
         }
-        checker.record(&ev_alloc(99, b.out_bytes));
-        checker.record(&boundary("forward", Some(0)));
+        checker.record(ev_alloc(99, b.out_bytes));
+        checker.record(boundary("forward", Some(0)));
     }
 
     #[test]
@@ -325,11 +325,11 @@ mod tests {
     #[should_panic(expected = "slot free or")]
     fn dtr_shadow_recorder_catches_slot_table_drift() {
         let mut shadow = DtrShadow::new(1000, 2000, 1 << 30);
-        shadow.record(&ev_alloc(1, 1000));
-        shadow.record(&ev_alloc(2, 2000));
-        shadow.record(&ev_alloc(3, 4096));
+        shadow.record(ev_alloc(1, 1000));
+        shadow.record(ev_alloc(2, 2000));
+        shadow.record(ev_alloc(3, 4096));
         // Slot table claims 8192 B live but the stream only carried 4096.
-        shadow.record(&ExecEvent::Boundary {
+        shadow.record(ExecEvent::Boundary {
             phase: "end-of-forward",
             index: None,
             live_hint: Some(8192),

@@ -3,11 +3,14 @@
 //! and dead nodes) must all come out of the pipeline lint-clean, with
 //! per-block activation bytes monotonically non-increasing and every
 //! planner-level peak on the optimized graph no worse than on the raw
-//! graph.
+//! graph. The profile walk that reuses repeated blocks must equal the
+//! reference walk that evaluates every block, on these DAGs and on every
+//! task's input stream.
 
 use mimose::models::builders::{bert_base, t5_base, BertHead};
-use mimose::models::{Block, ModelGraph, ModelInput, OptimizerKind, Stage};
+use mimose::models::{Block, ModelGraph, ModelInput, ModelProfile, OptimizerKind, Stage};
 use mimose::ops::OpKind;
+use mimose_exp::tasks::Task;
 use mimose_planner::memory_model::{min_feasible_budget, peak_bytes};
 use mimose_planner::{CheckpointPlan, SublinearPolicy};
 use mimose_rng::{RngCore, SeedableRng, StdRng};
@@ -193,5 +196,62 @@ fn canonical_builders_shrink_under_the_property_lens() {
             "{name}: no measured reduction"
         );
         assert!(min_feasible_budget(&shrunk) <= min_feasible_budget(&raw));
+    }
+}
+
+/// `profile` and `profile_reference` agree field for field: `Debug` prints
+/// every field, floats in their shortest round-trip form, so equal strings
+/// mean equal bits.
+fn assert_same_profile(fast: &ModelProfile, reference: &ModelProfile, what: &str) {
+    assert_eq!(fast.blocks.len(), reference.blocks.len(), "{what}");
+    for (f, r) in fast.blocks.iter().zip(&reference.blocks) {
+        assert_eq!(
+            format!("{f:?}"),
+            format!("{r:?}"),
+            "{what}: block {}",
+            r.index
+        );
+    }
+    assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{what}");
+}
+
+#[test]
+fn block_reuse_matches_the_reference_walk_on_random_dags() {
+    for seed in 0..SEEDS {
+        let (graph, input) = random_graph(seed);
+        let opt = graph.optimize();
+        let what = format!("seed {seed}");
+        assert_same_profile(
+            &opt.raw().profile(&input).unwrap(),
+            &opt.raw().profile_reference(&input).unwrap(),
+            &what,
+        );
+        assert_same_profile(
+            &opt.profile(&input).unwrap(),
+            &opt.profile_reference(&input).unwrap(),
+            &what,
+        );
+    }
+}
+
+#[test]
+fn block_reuse_matches_the_reference_walk_on_every_task_stream() {
+    for task in Task::all() {
+        let mut inputs = task.dataset.stream(97).take_batches(500);
+        inputs.push(task.dataset.worst_case());
+        for input in &inputs {
+            let what = format!("{} {input:?}", task.abbr);
+            assert_same_profile(
+                &task.model.profile(input).unwrap(),
+                &task.model.profile_reference(input).unwrap(),
+                &what,
+            );
+            let raw = task.model.raw();
+            assert_same_profile(
+                &raw.profile(input).unwrap(),
+                &raw.profile_reference(input).unwrap(),
+                &what,
+            );
+        }
     }
 }

@@ -621,7 +621,24 @@ impl OptimizedGraph {
     ///
     /// Propagates any [`ModelError`] from shape evaluation.
     pub fn profile(&self, input: &ModelInput) -> Result<ModelProfile, ModelError> {
-        profile_with_stash(&self.parts.graph, input, Some(&self.parts.annotations))
+        profile_with_stash(
+            &self.parts.graph,
+            input,
+            Some(&self.parts.annotations),
+            true,
+        )
+    }
+
+    /// The annotation-aware walk that evaluates every block, with no block
+    /// reuse: the differential oracle for [`OptimizedGraph::profile`].
+    #[doc(hidden)]
+    pub fn profile_reference(&self, input: &ModelInput) -> Result<ModelProfile, ModelError> {
+        profile_with_stash(
+            &self.parts.graph,
+            input,
+            Some(&self.parts.annotations),
+            false,
+        )
     }
 
     /// Profile of the raw (pre-pass) graph — the "before" side of evidence.
@@ -662,7 +679,7 @@ impl OptimizedGraph {
             .collect();
 
         // Attribute annotated savings pass by pass on the optimized graph.
-        let full = profile_with_stash(&self.parts.graph, input, None)?;
+        let full = profile_with_stash(&self.parts.graph, input, None, true)?;
         let mut per_pass: Vec<PassDelta> = self
             .parts
             .reports

@@ -97,7 +97,7 @@ impl<'a> EngineCore<'a> {
     /// Emit an event to the recorder. Engines use this for events the core
     /// does not originate itself (boundaries, plan changes, recovery rungs).
     #[inline]
-    pub fn emit(&mut self, ev: &ExecEvent) {
+    pub fn emit(&mut self, ev: ExecEvent) {
         self.rec.record(ev);
     }
 
@@ -117,7 +117,7 @@ impl<'a> EngineCore<'a> {
         match self.arena.alloc(bytes) {
             Ok(id) => {
                 if let Some((offset, size)) = self.arena.range_of(id) {
-                    self.rec.record(&ExecEvent::Alloc {
+                    self.rec.record(ExecEvent::Alloc {
                         id,
                         offset,
                         size,
@@ -129,12 +129,12 @@ impl<'a> EngineCore<'a> {
             }
             Err(e) => {
                 if self.arena.stats().injected_ooms > injected_before {
-                    self.rec.record(&ExecEvent::InjectedOom {
+                    self.rec.record(ExecEvent::InjectedOom {
                         requested: e.requested,
                         phase,
                     });
                 } else {
-                    self.rec.record(&ExecEvent::Oom {
+                    self.rec.record(ExecEvent::Oom {
                         requested: e.requested,
                         free_bytes: e.free_bytes,
                         largest_free: e.largest_free,
@@ -152,11 +152,8 @@ impl<'a> EngineCore<'a> {
     /// Panics if `id` is not live (the arena's own contract): that is a
     /// simulator bug, not a recoverable condition.
     pub fn free(&mut self, id: AllocId) {
-        let range = self.arena.range_of(id);
-        self.arena.free(id);
-        if let Some((offset, size)) = range {
-            self.rec.record(&ExecEvent::Free { id, offset, size });
-        }
+        let (offset, size) = self.arena.free(id);
+        self.rec.record(ExecEvent::Free { id, offset, size });
     }
 
     /// Compact the arena (recovery rung 1), emitting `Compact`. Returns the
@@ -164,7 +161,7 @@ impl<'a> EngineCore<'a> {
     /// should charge via [`Self::charge_recovery`].
     pub fn compact(&mut self) -> usize {
         let moved = self.arena.compact();
-        self.rec.record(&ExecEvent::Compact { moved });
+        self.rec.record(ExecEvent::Compact { moved });
         moved
     }
 
@@ -172,7 +169,7 @@ impl<'a> EngineCore<'a> {
     pub fn charge_compute(&mut self, ns: u64) {
         self.time.compute_ns += ns;
         self.clock.advance(ns);
-        self.rec.record(&ExecEvent::Compute { ns });
+        self.rec.record(ExecEvent::Compute { ns });
     }
 
     /// Charge recomputation time from a cost-model figure, applying the
@@ -181,7 +178,7 @@ impl<'a> EngineCore<'a> {
         let charged = (ns * self.recompute_factor) as u64;
         self.time.recompute_ns += charged;
         self.clock.advance(charged);
-        self.rec.record(&ExecEvent::Recompute { ns: charged });
+        self.rec.record(ExecEvent::Recompute { ns: charged });
         charged
     }
 
@@ -189,14 +186,14 @@ impl<'a> EngineCore<'a> {
     pub fn charge_swap(&mut self, ns: u64) {
         self.time.swap_ns += ns;
         self.clock.advance(ns);
-        self.rec.record(&ExecEvent::Swap { ns });
+        self.rec.record(ExecEvent::Swap { ns });
     }
 
     /// Charge plan-generation / eviction-search time.
     pub fn charge_planning(&mut self, ns: u64) {
         self.time.planning_ns += ns;
         self.clock.advance(ns);
-        self.rec.record(&ExecEvent::ClockCharge {
+        self.rec.record(ExecEvent::ClockCharge {
             channel: ClockChannel::Planning,
             ns,
         });
@@ -206,7 +203,7 @@ impl<'a> EngineCore<'a> {
     pub fn charge_bookkeeping(&mut self, ns: u64) {
         self.time.bookkeeping_ns += ns;
         self.clock.advance(ns);
-        self.rec.record(&ExecEvent::ClockCharge {
+        self.rec.record(ExecEvent::ClockCharge {
             channel: ClockChannel::Bookkeeping,
             ns,
         });
@@ -216,7 +213,7 @@ impl<'a> EngineCore<'a> {
     pub fn charge_recovery(&mut self, ns: u64) {
         self.time.recovery_ns += ns;
         self.clock.advance(ns);
-        self.rec.record(&ExecEvent::ClockCharge {
+        self.rec.record(ExecEvent::ClockCharge {
             channel: ClockChannel::Recovery,
             ns,
         });
@@ -232,7 +229,7 @@ impl<'a> EngineCore<'a> {
         let alloc_ns = ((stats.allocs + stats.frees) as f64 * self.dev.alloc_ns) as u64;
         self.time.allocator_ns += alloc_ns;
         self.clock.advance(alloc_ns);
-        self.rec.record(&ExecEvent::ClockCharge {
+        self.rec.record(ExecEvent::ClockCharge {
             channel: ClockChannel::Allocator,
             ns: alloc_ns,
         });

@@ -110,8 +110,10 @@ pub enum ExecEvent {
         /// The plan now in effect.
         plan: CheckpointPlan,
     },
-    /// A recovery-ladder rung was taken.
-    Recovery(RecoveryEvent),
+    /// A recovery-ladder rung was taken. Boxed: the rung is the largest
+    /// payload and the rarest event, and boxing it keeps every event at
+    /// 56 bytes.
+    Recovery(Box<RecoveryEvent>),
     /// A phase boundary — the points where engines and shadow checkers
     /// synchronise with the analytic memory model.
     Boundary {
@@ -128,10 +130,11 @@ pub enum ExecEvent {
 
 /// A sink for [`ExecEvent`]s. Engines emit through `&mut dyn Recorder`, so
 /// recording, shadow checking and plain (discarding) execution share one
-/// code path.
+/// code path. Events are passed by value, so a log moves each one in
+/// without a clone.
 pub trait Recorder {
     /// Consume one event. Called in strict execution order.
-    fn record(&mut self, ev: &ExecEvent);
+    fn record(&mut self, ev: ExecEvent);
 }
 
 /// Discards every event — the zero-overhead default for plain runs.
@@ -140,7 +143,7 @@ pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
     #[inline]
-    fn record(&mut self, _ev: &ExecEvent) {}
+    fn record(&mut self, _ev: ExecEvent) {}
 }
 
 /// Appends every event to an in-memory log.
@@ -165,19 +168,20 @@ impl EventLog {
 
 impl Recorder for EventLog {
     #[inline]
-    fn record(&mut self, ev: &ExecEvent) {
-        self.events.push(ev.clone());
+    fn record(&mut self, ev: ExecEvent) {
+        self.events.push(ev);
     }
 }
 
 /// Fans each event out to two recorders in order (first, then second).
 /// Engines use this to run a shadow checker alongside the caller's sink.
+/// The first sink gets a clone, the second the event itself.
 pub struct Tee<'a>(pub &'a mut dyn Recorder, pub &'a mut dyn Recorder);
 
 impl Recorder for Tee<'_> {
     #[inline]
-    fn record(&mut self, ev: &ExecEvent) {
-        self.0.record(ev);
+    fn record(&mut self, ev: ExecEvent) {
+        self.0.record(ev.clone());
         self.1.record(ev);
     }
 }
@@ -192,8 +196,8 @@ mod tests {
         let mut b = EventLog::new();
         {
             let mut tee = Tee(&mut a, &mut b);
-            tee.record(&ExecEvent::Compute { ns: 1 });
-            tee.record(&ExecEvent::Compact { moved: 512 });
+            tee.record(ExecEvent::Compute { ns: 1 });
+            tee.record(ExecEvent::Compact { moved: 512 });
         }
         assert_eq!(a.events, b.events);
         assert_eq!(
@@ -203,5 +207,10 @@ mod tests {
                 ExecEvent::Compact { moved: 512 }
             ]
         );
+    }
+
+    #[test]
+    fn boxed_recovery_keeps_events_at_56_bytes() {
+        assert_eq!(std::mem::size_of::<ExecEvent>(), 56);
     }
 }

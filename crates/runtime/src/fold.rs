@@ -119,7 +119,7 @@ pub fn fold_events(capacity: usize, events: &[ExecEvent]) -> EventFold {
                 ClockChannel::Recovery => f.time.recovery_ns += ns,
             },
             ExecEvent::PlanApplied { .. } => f.plan_changes += 1,
-            ExecEvent::Recovery(ev) => f.recovery.push(ev.clone()),
+            ExecEvent::Recovery(ev) => f.recovery.push(ev.as_ref().clone()),
             ExecEvent::Boundary { .. } => {}
         }
     }

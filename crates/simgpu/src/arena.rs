@@ -1,4 +1,5 @@
-//! Byte-addressed device-memory arena with a size-indexed free list.
+//! Byte-addressed device-memory arena: free ranges in one address-sorted
+//! `Vec`, live allocations in a dense table.
 //!
 //! This models the CUDA caching allocator at the level the paper's results
 //! depend on: allocations carve address ranges out of a fixed-capacity
@@ -7,20 +8,28 @@
 //! range fits — exactly the fragmentation pathology that inflates DTR's real
 //! memory usage in Fig 5 (budget 4.2 GB, actual 6.7 GB).
 //!
-//! Free ranges are indexed **two ways, kept in lockstep**: by start address
-//! (for coalescing) and by `(length, address)` (for fit selection). Best-fit
-//! is a single O(log n) seek in the size index; first-fit keeps its exact
-//! lowest-address semantics via a dual-cursor scan that stops as soon as
-//! either cursor proves the answer; `largest_free()` — sampled on **every**
-//! successful allocation for the fragmentation watermarks — drops from an
-//! O(n) scan to the size index's last key.
+//! Free ranges live in one `Vec<(start, length)>` sorted by address,
+//! disjoint and never adjacent. First-fit takes the first range from the
+//! front that fits, which is the definition of first-fit; best-fit scans
+//! once and keeps the smallest fitting range, the lowest address among
+//! equal lengths. A free finds its slot by binary search and coalesces with
+//! its two neighbours. The largest range's length is cached: a merge can
+//! only raise it, and it is rescanned only when a carve shrinks or removes
+//! the range that was the largest. `largest_free()` is sampled on **every**
+//! successful allocation for the fragmentation watermarks, so it stays
+//! O(1). Live allocations sit in a `Vec` indexed by [`AllocId`], which the
+//! arena issues as 0, 1, 2, …. On the engines' workloads the free list
+//! holds a handful of ranges, and on the 384-hole `arena_frag_heavy` bench
+//! one scan is still cheaper than the `BTreeMap` seeks it replaced
+//! (`BENCH_arena.json`). The `BTreeMap` version is kept, doc-hidden, as
+//! the differential oracle `ArenaReference`.
 //!
 //! The arena keeps no event log of its own. `mimose_runtime::EngineCore`
 //! makes every allocator call on the engines' behalf and narrates each one
 //! as an `ExecEvent` (`Alloc`, `Free`, `Oom`, `InjectedOom`, `Compact`);
 //! that stream is the one allocator record the audit replays.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Allocation alignment (the CUDA caching allocator rounds to 512 B).
 pub const ARENA_ALIGN: usize = 512;
@@ -162,7 +171,7 @@ pub struct ArenaStats {
 /// let mut arena = Arena::new(1 << 20);
 /// let a = arena.alloc(100_000).unwrap();
 /// let b = arena.alloc(200_000).unwrap();
-/// arena.free(a);
+/// assert_eq!(arena.free(a), (0, 100_352));
 /// // Freed space is reusable; fragmentation is tracked explicitly.
 /// assert!(arena.would_fit(100_000));
 /// assert_eq!(arena.free_bytes() - arena.largest_free(), arena.fragmentation_bytes());
@@ -173,15 +182,17 @@ pub struct ArenaStats {
 pub struct Arena {
     capacity: usize,
     policy: AllocPolicy,
-    /// Free ranges: start address → length; disjoint, non-adjacent.
-    free: BTreeMap<usize, usize>,
-    /// Secondary index of the same ranges: `(length, address)`, kept in
-    /// lockstep with `free` (see [`Arena::check_invariants`]). Best-fit and
-    /// `largest_free` read this map.
-    free_by_size: BTreeMap<(usize, usize), ()>,
-    /// Live allocations: id → (start, length).
-    live: BTreeMap<AllocId, (usize, usize)>,
-    next_id: u64,
+    /// Free ranges `(start, length)`, sorted by start address; disjoint,
+    /// never adjacent, never empty.
+    free: Vec<(usize, usize)>,
+    /// Length of the largest range in `free` (0 when there is none).
+    largest: usize,
+    /// Live table indexed by `AllocId`: `Some((start, length))` while the
+    /// allocation is live. Ids are issued 0, 1, 2, … in order of successful
+    /// allocation, so the next id is `live.len()`.
+    live: Vec<Option<(usize, usize)>>,
+    /// Number of `Some` entries in `live`.
+    live_count: usize,
     used: usize,
     stats: ArenaStats,
     /// Total `alloc` calls so far (1-based ordinal of the next attempt is
@@ -203,38 +214,23 @@ impl Arena {
     /// Create an arena with an explicit fit policy.
     #[must_use]
     pub fn with_policy(capacity: usize, policy: AllocPolicy) -> Self {
-        let mut free = BTreeMap::new();
-        let mut free_by_size = BTreeMap::new();
-        if capacity > 0 {
-            free.insert(0, capacity);
-            free_by_size.insert((capacity, 0), ());
-        }
+        let free = if capacity > 0 {
+            vec![(0, capacity)]
+        } else {
+            Vec::new()
+        };
         Arena {
             capacity,
             policy,
             free,
-            free_by_size,
-            live: BTreeMap::new(),
-            next_id: 0,
+            largest: capacity,
+            live: Vec::new(),
+            live_count: 0,
             used: 0,
             stats: ArenaStats::default(),
             alloc_attempts: 0,
             fail_attempts: BTreeSet::new(),
         }
-    }
-
-    /// Insert a free range into both indices.
-    #[inline]
-    fn insert_free(&mut self, addr: usize, len: usize) {
-        self.free.insert(addr, len);
-        self.free_by_size.insert((len, addr), ());
-    }
-
-    /// Remove a free range from both indices.
-    #[inline]
-    fn remove_free(&mut self, addr: usize, len: usize) {
-        self.free.remove(&addr);
-        self.free_by_size.remove(&(len, addr));
     }
 
     /// The arena's fit policy.
@@ -261,22 +257,19 @@ impl Arena {
         self.capacity - self.used
     }
 
-    /// Largest contiguous free range. O(log n) via the size index (this is
-    /// on the allocation fast path: the fragmentation watermarks sample it
-    /// after every successful carve).
+    /// Largest contiguous free range. O(1): the arena keeps it up to date
+    /// (this is on the allocation fast path: the fragmentation watermarks
+    /// sample it after every successful carve).
     #[must_use]
     pub fn largest_free(&self) -> usize {
-        self.free_by_size
-            .last_key_value()
-            .map(|(&(len, _), _)| len)
-            .unwrap_or(0)
+        self.largest
     }
 
     /// Free bytes that cannot satisfy a request the size of the largest
     /// contiguous range — the fragmentation measure reported in Fig 5/§VI-B.
     #[must_use]
     pub fn fragmentation_bytes(&self) -> usize {
-        self.free_bytes() - self.largest_free()
+        self.free_bytes() - self.largest
     }
 
     /// Statistics snapshot.
@@ -288,107 +281,72 @@ impl Arena {
     /// Number of live allocations.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        self.live_count
     }
 
     /// Whether a request of `bytes` (unaligned) would currently succeed.
-    /// O(log n): any fitting range exists iff the largest one fits.
+    /// O(1): any fitting range exists iff the largest one fits.
     #[must_use]
     pub fn would_fit(&self, bytes: usize) -> bool {
-        self.largest_free() >= Self::aligned(bytes)
+        self.largest >= align_up(bytes)
     }
 
-    #[inline]
-    fn aligned(bytes: usize) -> usize {
-        align_up(bytes)
-    }
-
-    /// First-fit selection: the lowest-address range with `len >= need`,
-    /// found by racing two cursors — one over the address index (stops at
-    /// the first fitting range it meets), one over the size index's fitting
-    /// candidates (narrows the lowest fitting address seen so far). The
-    /// address cursor can never pass a fitting range, so whichever cursor
-    /// resolves first yields the exact first-fit answer; the cost is
-    /// O(min(position of first fit, number of fitting ranges)) map steps
-    /// instead of always paying the address-scan worst case.
-    fn first_fit(&self, need: usize) -> Option<(usize, usize)> {
-        let mut by_addr = self.free.iter();
-        let mut by_size = self.free_by_size.range((need, 0)..);
-        let mut best: Option<(usize, usize)> = None; // lowest fitting (addr, len) so far
-        loop {
-            match by_addr.next() {
-                Some((&addr, &len)) => {
-                    if let Some((baddr, _)) = best {
-                        if addr >= baddr {
-                            // Every address below `baddr` was scanned and
-                            // does not fit — `best` is the first fit.
-                            return best;
+    /// Position in `free` of the range the fit policy picks for `need`
+    /// bytes, or `None` when no range fits.
+    ///
+    /// First-fit is the first range from the front with `len >= need`.
+    /// Best-fit is the smallest fitting range; the strict `<` keeps the
+    /// lowest address among equal lengths, and an exact fit ends the scan
+    /// (nothing smaller fits, nothing earlier was as small).
+    fn select(&self, need: usize) -> Option<usize> {
+        if need > self.largest {
+            return None;
+        }
+        match self.policy {
+            AllocPolicy::FirstFit => self.free.iter().position(|&(_, len)| len >= need),
+            AllocPolicy::BestFit => {
+                let mut best: Option<(usize, usize)> = None; // (position, len)
+                for (i, &(_, len)) in self.free.iter().enumerate() {
+                    if len >= need && best.is_none_or(|(_, blen)| len < blen) {
+                        best = Some((i, len));
+                        if len == need {
+                            break;
                         }
                     }
-                    if len >= need {
-                        // First fitting range in address order.
-                        return Some((addr, len));
-                    }
                 }
-                // All ranges scanned without a fit: nothing fits at all
-                // (the size cursor would otherwise have stopped us above).
-                None => return None,
-            }
-            if let Some((&(len, addr), ())) = by_size.next() {
-                if best.is_none_or(|(baddr, _)| addr < baddr) {
-                    best = Some((addr, len));
-                }
-            } else if best.is_some() {
-                // The size cursor enumerated every fitting range; the
-                // lowest-address one among them is the first fit.
-                return best;
+                best.map(|(i, _)| i)
             }
         }
     }
 
-    /// Best-fit selection: smallest fitting range, ties broken by lower
-    /// address — exactly the size index's successor of `(need, 0)`. O(log n).
-    fn best_fit(&self, need: usize) -> Option<(usize, usize)> {
-        self.free_by_size
-            .range((need, 0)..)
-            .next()
-            .map(|(&(len, addr), _)| (addr, len))
-    }
-
     /// Allocate `bytes` (rounded up to alignment, minimum one granule).
     pub fn alloc(&mut self, bytes: usize) -> Result<AllocId, OomError> {
-        let need = Self::aligned(bytes);
+        let need = align_up(bytes);
         self.alloc_attempts += 1;
         if !self.fail_attempts.is_empty() && self.fail_attempts.remove(&self.alloc_attempts) {
             // Injected spurious failure: report OOM without touching state.
             // A retry is a fresh attempt ordinal, so one injection fails at
             // most one call (one-shot).
             self.stats.injected_ooms += 1;
-            return Err(OomError {
-                requested: need,
-                free_bytes: self.free_bytes(),
-                largest_free: self.largest_free(),
-            });
+            return Err(self.oom(need));
         }
-        let slot = match self.policy {
-            AllocPolicy::FirstFit => self.first_fit(need),
-            AllocPolicy::BestFit => self.best_fit(need),
-        };
-        let Some((addr, len)) = slot else {
+        let Some(i) = self.select(need) else {
             self.stats.oom_events += 1;
-            return Err(OomError {
-                requested: need,
-                free_bytes: self.free_bytes(),
-                largest_free: self.largest_free(),
-            });
+            return Err(self.oom(need));
         };
-        self.remove_free(addr, len);
+        let (addr, len) = self.free[i];
         if len > need {
-            self.insert_free(addr + need, len - need);
+            self.free[i] = (addr + need, len - need);
+        } else {
+            self.free.remove(i);
         }
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        self.live.insert(id, (addr, need));
+        if len == self.largest {
+            // The carve shrank or removed a largest range.
+            self.largest = self.free.iter().map(|&(_, l)| l).max().unwrap_or(0);
+        }
+        let id = AllocId(self.live.len() as u64);
+        self.live.push(Some((addr, need)));
+        self.live_count += 1;
         self.used += need;
         self.stats.allocs += 1;
         self.stats.peak_used = self.stats.peak_used.max(self.used);
@@ -401,53 +359,74 @@ impl Arena {
         Ok(id)
     }
 
-    /// Free a live allocation.
+    fn oom(&self, requested: usize) -> OomError {
+        OomError {
+            requested,
+            free_bytes: self.free_bytes(),
+            largest_free: self.largest,
+        }
+    }
+
+    /// Free a live allocation and return the `(offset, aligned size)` it
+    /// occupied.
     ///
     /// # Panics
     /// Panics if `id` is not live (double free / foreign id) — that is a
     /// simulator bug, not a recoverable condition.
-    pub fn free(&mut self, id: AllocId) {
+    pub fn free(&mut self, id: AllocId) -> (usize, usize) {
         let (addr, len) = self
             .live
-            .remove(&id)
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
             .unwrap_or_else(|| panic!("free of non-live allocation {id:?}"));
+        self.live_count -= 1;
         self.used -= len;
         self.stats.frees += 1;
-        // Coalesce with predecessor.
-        let mut start = addr;
-        let mut length = len;
-        if let Some((&paddr, &plen)) = self.free.range(..addr).next_back() {
-            if paddr + plen == addr {
-                self.remove_free(paddr, plen);
-                start = paddr;
-                length += plen;
+        // `i` is the first range above `addr`; `i - 1` the last one below.
+        let i = self.free.partition_point(|&(a, _)| a < addr);
+        let joins_prev = i > 0 && {
+            let (pa, pl) = self.free[i - 1];
+            pa + pl == addr
+        };
+        let joins_next = i < self.free.len() && self.free[i].0 == addr + len;
+        let merged = match (joins_prev, joins_next) {
+            (true, true) => {
+                let next_len = self.free.remove(i).1;
+                self.free[i - 1].1 += len + next_len;
+                self.free[i - 1].1
             }
-        }
-        // Coalesce with successor.
-        if let Some((&naddr, &nlen)) = self.free.range(addr + len..).next() {
-            if addr + len == naddr {
-                self.remove_free(naddr, nlen);
-                length += nlen;
+            (true, false) => {
+                self.free[i - 1].1 += len;
+                self.free[i - 1].1
             }
-        }
-        self.insert_free(start, length);
+            (false, true) => {
+                self.free[i] = (addr, len + self.free[i].1);
+                self.free[i].1
+            }
+            (false, false) => {
+                self.free.insert(i, (addr, len));
+                len
+            }
+        };
+        self.largest = self.largest.max(merged);
         self.stats.peak_footprint = self
             .stats
             .peak_footprint
             .max(self.used + self.fragmentation_bytes());
+        (addr, len)
     }
 
     /// Size (aligned) of a live allocation.
     #[must_use]
     pub fn size_of(&self, id: AllocId) -> Option<usize> {
-        self.live.get(&id).map(|&(_, len)| len)
+        self.range_of(id).map(|(_, len)| len)
     }
 
     /// `(offset, aligned size)` of a live allocation. `None` when `id` is
     /// not live. Offsets are only stable until the next [`Arena::compact`].
     #[must_use]
     pub fn range_of(&self, id: AllocId) -> Option<(usize, usize)> {
-        self.live.get(&id).copied()
+        self.live.get(id.0 as usize).copied().flatten()
     }
 
     /// Compact the arena: slide every live allocation to the lowest
@@ -461,26 +440,29 @@ impl Arena {
     /// is fully deterministic given the live set, which lets the audit
     /// shadow allocator mirror it exactly when replaying an event stream.
     pub fn compact(&mut self) -> usize {
-        let mut by_addr: Vec<(AllocId, usize, usize)> = self
+        let mut by_addr: Vec<(usize, usize)> = self
             .live
             .iter()
-            .map(|(&id, &(addr, len))| (id, addr, len))
+            .enumerate()
+            .filter_map(|(i, r)| r.map(|(addr, _)| (addr, i)))
             .collect();
-        by_addr.sort_by_key(|&(_, addr, _)| addr);
+        by_addr.sort_unstable();
         let mut cursor = 0usize;
         let mut moved = 0usize;
-        for (id, addr, len) in by_addr {
-            if addr != cursor {
-                moved += len;
-                self.live.insert(id, (cursor, len));
+        for (addr, i) in by_addr {
+            if let Some(range) = &mut self.live[i] {
+                if addr != cursor {
+                    moved += range.1;
+                    range.0 = cursor;
+                }
+                cursor += range.1;
             }
-            cursor += len;
         }
         self.free.clear();
-        self.free_by_size.clear();
         if cursor < self.capacity {
-            self.insert_free(cursor, self.capacity - cursor);
+            self.free.push((cursor, self.capacity - cursor));
         }
+        self.largest = self.capacity - cursor;
         self.stats.compactions += 1;
         moved
     }
@@ -507,27 +489,17 @@ impl Arena {
         self.fail_attempts.len()
     }
 
-    /// Internal invariant check used by tests: free ranges are disjoint,
-    /// non-adjacent, within capacity, free+used == capacity, and the size
-    /// index mirrors the address index exactly (lockstep).
+    /// Internal invariant check used by tests: free ranges are sorted,
+    /// disjoint, non-adjacent and within capacity, free + used == capacity,
+    /// the cached largest range is the largest one, and the live count and
+    /// live bytes match the live table.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut prev_end: Option<usize> = None;
         let mut total_free = 0usize;
-        if self.free.len() != self.free_by_size.len() {
-            return Err(format!(
-                "index divergence: {} address entries vs {} size entries",
-                self.free.len(),
-                self.free_by_size.len()
-            ));
-        }
-        for (&addr, &len) in &self.free {
+        let mut max_len = 0usize;
+        for &(addr, len) in &self.free {
             if len == 0 {
                 return Err(format!("zero-length free range at {addr}"));
-            }
-            if !self.free_by_size.contains_key(&(len, addr)) {
-                return Err(format!(
-                    "free range [{addr}, +{len}) missing from size index"
-                ));
             }
             if addr + len > self.capacity {
                 return Err(format!(
@@ -537,7 +509,7 @@ impl Arena {
             }
             if let Some(pe) = prev_end {
                 if addr < pe {
-                    return Err(format!("overlapping free ranges at {addr}"));
+                    return Err(format!("overlapping or unsorted free ranges at {addr}"));
                 }
                 if addr == pe {
                     return Err(format!("uncoalesced adjacent free ranges at {addr}"));
@@ -545,8 +517,22 @@ impl Arena {
             }
             prev_end = Some(addr + len);
             total_free += len;
+            max_len = max_len.max(len);
         }
-        let live_total: usize = self.live.values().map(|&(_, len)| len).sum();
+        if self.largest != max_len {
+            return Err(format!(
+                "stale largest free range: cached {} B, actual {max_len} B",
+                self.largest
+            ));
+        }
+        let live_count = self.live.iter().flatten().count();
+        if live_count != self.live_count {
+            return Err(format!(
+                "live count {} != {live_count} live table entries",
+                self.live_count
+            ));
+        }
+        let live_total: usize = self.live.iter().flatten().map(|&(_, len)| len).sum();
         if live_total != self.used {
             return Err("live total != used".into());
         }
@@ -747,6 +733,39 @@ mod tests {
         assert_eq!(a.stats().injected_ooms, 1);
         assert_eq!(a.stats().oom_events, 0, "injected OOMs are not genuine");
         assert_eq!(a.alloc_attempts(), 3);
+        a.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn check_invariants_catches_a_stale_largest_and_a_wrong_live_count() {
+        let mut a = Arena::new(4 * 512);
+        let x = a.alloc(512).unwrap();
+        let _y = a.alloc(1024).unwrap();
+        assert_eq!(a.free(x), (0, 512));
+        a.check_invariants().unwrap();
+        let mut stale = a.clone();
+        stale.largest = 1024;
+        let err = stale.check_invariants().unwrap_err();
+        assert!(err.contains("stale largest"), "{err}");
+        let mut miscounted = a.clone();
+        miscounted.live_count += 1;
+        let err = miscounted.check_invariants().unwrap_err();
+        assert!(err.contains("live count"), "{err}");
+    }
+
+    #[test]
+    fn best_fit_takes_the_lowest_address_among_equal_lengths() {
+        let mut a = Arena::with_policy(8 * 512, AllocPolicy::BestFit);
+        let ids: Vec<_> = (0..7).map(|_| a.alloc(512).unwrap()).collect();
+        // Holes of 1, 1 and 2 granules at 512, 1536 and 2560..3584, plus
+        // the 1-granule tail at 3584.
+        for k in [1, 3, 5, 6] {
+            a.free(ids[k]);
+        }
+        let one = a.alloc(512).unwrap();
+        assert_eq!(a.range_of(one), Some((512, 512)));
+        let two = a.alloc(1024).unwrap();
+        assert_eq!(a.range_of(two), Some((2560, 1024)));
         a.check_invariants().unwrap();
     }
 

@@ -8,9 +8,12 @@
 #![warn(missing_docs)]
 
 mod arena;
+mod arena_reference;
 mod clock;
 mod device;
 
 pub use arena::{align_up, AllocId, AllocPolicy, Arena, ArenaStats, OomError, ARENA_ALIGN};
+#[doc(hidden)]
+pub use arena_reference::ArenaReference;
 pub use clock::{VirtualClock, VirtualTime};
 pub use device::DeviceProfile;

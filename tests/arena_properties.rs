@@ -1,6 +1,7 @@
 //! Property tests on the memory-arena substrate: no byte is ever lost, free
 //! ranges stay disjoint and coalesced, and fragmentation accounting is
-//! consistent under arbitrary alloc/free interleavings.
+//! consistent under arbitrary alloc/free interleavings. The arena and its
+//! `BTreeMap` oracle (`ArenaReference`) agree after every call.
 //!
 //! The randomized scripts are seeded-deterministic (see `mimose::rng`), so
 //! failures reproduce exactly.
@@ -8,7 +9,7 @@
 use mimose::audit::{audit_exec_events, has_errors};
 use mimose::rng::{Rng, SeedableRng, StdRng};
 use mimose::runtime::{EngineCore, EventLog};
-use mimose::simgpu::{AllocId, AllocPolicy, Arena, DeviceProfile};
+use mimose::simgpu::{AllocId, AllocPolicy, Arena, ArenaReference, DeviceProfile};
 use mimose_chaos::IterationFaults;
 
 /// A random allocator script: sizes to allocate, and for each step whether
@@ -29,6 +30,35 @@ fn random_script(rng: &mut StdRng, len: usize) -> Vec<Step> {
             }
         })
         .collect()
+}
+
+/// A small arena, so OOM (and fragmentation-OOM) paths are hit too.
+const CASE_CAPACITY: usize = 2 << 20;
+
+/// One random case of the stream-audit and differential tests: an
+/// allocator script, how often to compact, and which alloc attempts fail
+/// spuriously.
+struct Case {
+    script: Vec<Step>,
+    compact_every: usize,
+    fail_allocs: Vec<u64>,
+}
+
+fn random_case(rng: &mut StdRng) -> Case {
+    let len = 1 + rng.gen_range(0usize..300);
+    let mut script = random_script(rng, len);
+    // Guarantee at least one allocation so every stream has content.
+    script.insert(0, Step::Alloc(4096));
+    let compact_every = rng.gen_range(4usize..40);
+    let mut fail_allocs: Vec<u64> = (0..rng.gen_range(0usize..4))
+        .map(|_| rng.gen_range(1..=len as u64))
+        .collect();
+    fail_allocs.sort_unstable();
+    Case {
+        script,
+        compact_every,
+        fail_allocs,
+    }
 }
 
 fn run_script(arena: &mut Arena, script: &[Step], mut each: impl FnMut(&Arena)) -> Vec<AllocId> {
@@ -133,24 +163,18 @@ fn trace_audit_is_clean_for_both_fit_policies() {
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut compactions, mut injected) = (0u64, 0u64);
         for case in 0..32 {
-            // A small arena so OOM (and fragmentation-OOM) paths are hit too.
-            let capacity = 2 << 20;
-            let len = 1 + rng.gen_range(0usize..300);
-            let mut script = random_script(&mut rng, len);
-            // Guarantee at least one allocation so every stream has content.
-            script.insert(0, Step::Alloc(4096));
-            let compact_every = rng.gen_range(4usize..40);
-            let mut fail_allocs: Vec<u64> = (0..rng.gen_range(0usize..4))
-                .map(|_| rng.gen_range(1..=len as u64))
-                .collect();
-            fail_allocs.sort_unstable();
+            let Case {
+                script,
+                compact_every,
+                fail_allocs,
+            } = random_case(&mut rng);
             let faults = IterationFaults {
                 fail_allocs,
                 ..IterationFaults::identity()
             };
             let mut log = EventLog::new();
             let stats = {
-                let mut core = EngineCore::with_policy(capacity, policy, &dev, &mut log);
+                let mut core = EngineCore::with_policy(CASE_CAPACITY, policy, &dev, &mut log);
                 core.arm_faults(Some(&faults));
                 let mut live: Vec<AllocId> = Vec::new();
                 for (i, step) in script.iter().enumerate() {
@@ -186,7 +210,7 @@ fn trace_audit_is_clean_for_both_fit_policies() {
             );
             compactions += stats.compactions;
             injected += stats.injected_ooms;
-            let diags = audit_exec_events(capacity, &log.events, Some(&stats));
+            let diags = audit_exec_events(CASE_CAPACITY, &log.events, Some(&stats));
             assert!(
                 !has_errors(&diags),
                 "{policy:?} case {case}: auditor disagrees with arena: {diags:?}"
@@ -195,4 +219,154 @@ fn trace_audit_is_clean_for_both_fit_policies() {
         assert!(compactions > 0, "{policy:?}: no script compacted");
         assert!(injected > 0, "{policy:?}: no injected failure fired");
     }
+}
+
+/// An [`Arena`] and an [`ArenaReference`] driven through the same calls,
+/// compared after every call on everything either one reports.
+struct Lockstep {
+    arena: Arena,
+    reference: ArenaReference,
+    live: Vec<AllocId>,
+    steps: usize,
+    what: String,
+}
+
+impl Lockstep {
+    fn new(capacity: usize, policy: AllocPolicy, fail_allocs: &[u64], what: String) -> Self {
+        let mut arena = Arena::with_policy(capacity, policy);
+        let mut reference = ArenaReference::with_policy(capacity, policy);
+        arena.set_spurious_failures(fail_allocs);
+        reference.set_spurious_failures(fail_allocs);
+        Lockstep {
+            arena,
+            reference,
+            live: Vec::new(),
+            steps: 0,
+            what,
+        }
+    }
+
+    fn alloc(&mut self, bytes: usize) -> Option<AllocId> {
+        let got = self.arena.alloc(bytes);
+        let want = self.reference.alloc(bytes);
+        assert_eq!(
+            got, want,
+            "{} step {}: alloc({bytes})",
+            self.what, self.steps
+        );
+        if let Ok(id) = got {
+            self.live.push(id);
+        }
+        self.check();
+        got.ok()
+    }
+
+    fn free(&mut self, id: AllocId) {
+        let want = self.reference.range_of(id);
+        self.reference.free(id);
+        let got = self.arena.free(id);
+        assert_eq!(Some(got), want, "{} step {}: free", self.what, self.steps);
+        self.live.retain(|&l| l != id);
+        self.check();
+    }
+
+    fn free_nth(&mut self, n: usize) {
+        if !self.live.is_empty() {
+            self.free(self.live[n % self.live.len()]);
+        }
+    }
+
+    fn compact(&mut self) {
+        let (got, want) = (self.arena.compact(), self.reference.compact());
+        assert_eq!(got, want, "{} step {}: compact", self.what, self.steps);
+        self.check();
+    }
+
+    fn check(&mut self) {
+        let (a, r) = (&self.arena, &self.reference);
+        let at = format!("{} step {}", self.what, self.steps);
+        assert_eq!(a.stats(), r.stats(), "{at}");
+        assert_eq!(
+            (
+                a.largest_free(),
+                a.fragmentation_bytes(),
+                a.used_bytes(),
+                a.live_count(),
+                a.alloc_attempts(),
+                a.pending_injected_failures(),
+            ),
+            (
+                r.largest_free(),
+                r.fragmentation_bytes(),
+                r.used_bytes(),
+                r.live_count(),
+                r.alloc_attempts(),
+                r.pending_injected_failures(),
+            ),
+            "{at}"
+        );
+        for &id in &self.live {
+            assert_eq!(a.range_of(id), r.range_of(id), "{at}: {id:?}");
+        }
+        a.check_invariants().unwrap_or_else(|e| panic!("{at}: {e}"));
+        self.steps += 1;
+    }
+}
+
+/// Differential check: the sorted-`Vec` arena and the `BTreeMap` oracle
+/// return the same ids, offsets, errors and statistics after every call.
+/// The scripts are the stream-audit test's random cases (compactions and
+/// spurious failures mixed in) plus more from other seeds, and a
+/// `frag_heavy`-shaped script that leaves ~384 holes for the fit policy to
+/// search, all under both fit policies.
+#[test]
+fn arena_matches_the_reference_arena_after_every_call() {
+    let mut steps = 0usize;
+    for policy in [AllocPolicy::FirstFit, AllocPolicy::BestFit] {
+        for seed in [0xD1FF_0001u64, 0xD1FF_0002, 0xD1FF_0003, 0xD1FF_0004] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for case in 0..96 {
+                let c = random_case(&mut rng);
+                let what = format!("{policy:?} seed {seed:#x} case {case}");
+                let mut pair = Lockstep::new(CASE_CAPACITY, policy, &c.fail_allocs, what);
+                for (i, step) in c.script.iter().enumerate() {
+                    match *step {
+                        Step::Alloc(sz) => {
+                            pair.alloc(sz);
+                        }
+                        Step::FreeNth(n) => pair.free_nth(n),
+                    }
+                    if (i + 1) % c.compact_every == 0 {
+                        pair.compact();
+                    }
+                }
+                if case % 2 == 0 {
+                    while !pair.live.is_empty() {
+                        pair.free_nth(0);
+                    }
+                }
+                steps += pair.steps;
+            }
+        }
+
+        // `frag_heavy`: 768 varied carves, every other one freed, 512
+        // small carves hunting through the holes, then a full teardown.
+        let mut pair = Lockstep::new(1 << 30, policy, &[], format!("{policy:?} frag_heavy"));
+        let carved: Vec<AllocId> = (0..768usize)
+            .map(|i| pair.alloc(4096 + (i * 7919) % (768 << 10)).expect("fits"))
+            .collect();
+        for &id in carved.iter().step_by(2) {
+            pair.free(id);
+        }
+        assert!(pair.arena.fragmentation_bytes() > 0);
+        for i in 0..512usize {
+            pair.alloc(1024 + (i * 104_729) % (12 << 10)).expect("fits");
+        }
+        while !pair.live.is_empty() {
+            pair.free_nth(0);
+        }
+        assert_eq!(pair.arena.largest_free(), 1 << 30);
+        steps += pair.steps;
+    }
+    assert!(steps > 100_000, "only {steps} calls compared");
 }
